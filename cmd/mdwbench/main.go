@@ -263,10 +263,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// appendBenchHistory appends rep to the JSON array in path, creating the
-// file if absent. A legacy file holding a single object (the pre-history
-// format) is preserved as the array's first entry. Returns the number of
-// recorded runs.
+// appendBenchHistory appends rep to the JSON array in path, starting a new
+// history if the file is absent or empty; anything else that is not a JSON
+// array of reports is rejected. Returns the number of recorded runs.
 func appendBenchHistory(path string, rep benchReport) (int, error) {
 	var hist []benchReport
 	data, err := os.ReadFile(path)
@@ -274,18 +273,9 @@ func appendBenchHistory(path string, rep benchReport) (int, error) {
 	case errors.Is(err, os.ErrNotExist):
 	case err != nil:
 		return 0, err
-	default:
-		trimmed := strings.TrimSpace(string(data))
-		if strings.HasPrefix(trimmed, "[") {
-			if err := json.Unmarshal(data, &hist); err != nil {
-				return 0, fmt.Errorf("%s: existing history unreadable: %w", path, err)
-			}
-		} else if trimmed != "" {
-			var legacy benchReport
-			if err := json.Unmarshal(data, &legacy); err != nil {
-				return 0, fmt.Errorf("%s: existing report unreadable: %w", path, err)
-			}
-			hist = append(hist, legacy)
+	case strings.TrimSpace(string(data)) != "":
+		if err := json.Unmarshal(data, &hist); err != nil {
+			return 0, fmt.Errorf("%s: existing history unreadable: %w", path, err)
 		}
 	}
 	hist = append(hist, rep)

@@ -115,14 +115,22 @@ func TestBenchHistoryAppend(t *testing.T) {
 	if len(hist) != 3 || hist[2].Points != 3 {
 		t.Fatalf("history %+v", hist)
 	}
+
+	// An empty file, as from mktemp, starts a history too.
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := appendBenchHistory(empty, benchReport{Points: 1}); err != nil || n != 1 {
+		t.Fatalf("empty file: recorded %d runs, err %v", n, err)
+	}
 }
 
-// TestBenchHistoryMigratesLegacy: a pre-history single-object file becomes
-// the first entry of the array instead of being overwritten, and entries
-// written before the family field stay decodable next to ones that have it.
+// TestBenchHistoryMigratesLegacy: entries written before the family field
+// stay decodable next to ones that have it, and never grow an empty one.
 func TestBenchHistoryMigratesLegacy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	legacy := `{"quick":false,"seed":1,"points":314,"wall_seconds":83.0}`
+	legacy := `[{"quick":false,"seed":1,"points":314,"wall_seconds":83.0}]`
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +157,20 @@ func TestBenchHistoryMigratesLegacy(t *testing.T) {
 	}
 }
 
+// TestBenchHistoryRejectsGarbage: anything but a JSON array of reports, a
+// lone report object included, is refused and left untouched.
 func TestBenchHistoryRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := appendBenchHistory(path, benchReport{}); err == nil {
-		t.Fatal("garbage file accepted")
+	for _, garbage := range []string{"not json", `{"seed":1,"points":314}`} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := os.WriteFile(path, []byte(garbage), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := appendBenchHistory(path, benchReport{}); err == nil {
+			t.Fatalf("%q accepted", garbage)
+		}
+		if data, _ := os.ReadFile(path); string(data) != garbage {
+			t.Fatalf("%q rewritten to %q", garbage, data)
+		}
 	}
 }
 

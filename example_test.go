@@ -50,23 +50,28 @@ func ExampleSimulator_RunOp() {
 	// latency positive: true
 }
 
-// ExampleSimulator_RunBarrier compares the two barrier schemes.
-func ExampleSimulator_RunBarrier() {
-	cfg := mdworm.DefaultConfig()
-	cfg.Traffic.OpRate = 0
-	sim, err := mdworm.New(cfg)
-	if err != nil {
-		panic(err)
+// ExampleConfig_collectiveBarrier runs one barrier as a collective
+// workload (binomial gather, then the release) and compares a hardware
+// multidestination release worm with the software U-MIN release tree.
+func ExampleConfig_collectiveBarrier() {
+	latency := func(scheme mdworm.Scheme) float64 {
+		cfg := mdworm.DefaultConfig()
+		cfg.Traffic.OpRate = 0 // idle network: the barrier is the only traffic
+		cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+		cfg.Scheme = scheme
+		cfg.Collective = mdworm.CollectiveSpec{Kind: mdworm.CollectiveBarrier, Reps: 1}
+		sim, err := mdworm.New(cfg)
+		if err != nil {
+			panic(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			panic(err)
+		}
+		return res.Collective.LastArrival.Mean
 	}
-	hw, err := sim.RunBarrier(mdworm.BarrierHardwareRelease, 2_000_000)
-	if err != nil {
-		panic(err)
-	}
-	sim2, _ := mdworm.New(cfg)
-	sw, err := sim2.RunBarrier(mdworm.BarrierSoftware, 2_000_000)
-	if err != nil {
-		panic(err)
-	}
+	hw := latency(mdworm.HardwareBitString)
+	sw := latency(mdworm.SoftwareBinomial)
 	fmt.Println("hardware release faster:", hw < sw)
 	// Output:
 	// hardware release faster: true

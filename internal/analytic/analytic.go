@@ -114,6 +114,19 @@ func (m Model) SoftwareBinomial(payload, degree int) float64 {
 	return float64(phases)*per + float64(phases-1)*float64(m.RecvOverhead)
 }
 
+// Barrier predicts the unloaded latency of a barrier over all N nodes: a
+// binomial gather of ceil(log2 N) phases, each a one-flit unicast plus the
+// parent's receive overhead, then the root's one-flit release to the other
+// N-1 nodes, either one hardware multidestination worm (hw) or the software
+// U-MIN tree.
+func (m Model) Barrier(hw bool) float64 {
+	gather := float64(collective.BinomialPhases(m.N-1)) * (m.Unicast(1) + float64(m.RecvOverhead))
+	if hw {
+		return gather + m.HardwareMulticast(1, m.N-1)
+	}
+	return gather + m.SoftwareBinomial(1, m.N-1)
+}
+
 // SoftwareSeparate predicts the unloaded last-arrival latency of separate
 // addressing: the source serializes d sends, each paying the startup cost,
 // and the last message then crosses the network.

@@ -74,6 +74,21 @@ type Send struct {
 	Subtree []int
 }
 
+// binomial defines the binomial tree over ranks [0, p) rooted at rank 0 that
+// every tree-shaped plan in this package uses: the software multicast's
+// distribution tree (BinomialSends, ValidateTree) and the combine and split
+// trees of collective schedules. It returns rank r's parent, r with its
+// lowest set bit cleared, and the end of r's subtree, the contiguous rank
+// range [r, end). r's children are r+k for every power of two k with
+// r+k < end. The root is its own parent.
+func binomial(r, p int) (parent, end int) {
+	if r == 0 {
+		return 0, p
+	}
+	low := r & -r
+	return r - low, min(r+low, p)
+}
+
 // BinomialSends computes the sends the holder of the message must perform
 // for the group, where group[0] is the holder and group[1:] the
 // destinations it must cover, in schedule order (farthest subtree first, so
@@ -84,20 +99,11 @@ func BinomialSends(group []int) []Send {
 	if g <= 1 {
 		return nil
 	}
-	k := 1
-	for k*2 < g {
-		k *= 2
-	}
-	var sends []Send
-	for ; k >= 1; k /= 2 {
-		if k >= g {
-			continue
-		}
-		hi := 2 * k
-		if hi > g {
-			hi = g
-		}
-		sends = append(sends, Send{To: group[k], Subtree: group[k+1 : hi]})
+	phases := BinomialPhases(g - 1)
+	sends := make([]Send, 0, phases)
+	for k := 1 << (phases - 1); k >= 1; k >>= 1 {
+		_, end := binomial(k, g)
+		sends = append(sends, Send{To: group[k], Subtree: group[k+1 : end]})
 	}
 	return sends
 }
@@ -159,17 +165,7 @@ func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
 		sorted := append([]int(nil), dests...)
 		sort.Ints(sorted)
 		op.Phases = BinomialPhases(len(dests))
-		group := append([]int{src}, sorted...)
-		sends := BinomialSends(group)
-		msgs := make([]*flit.Message, len(sends))
-		for i, snd := range sends {
-			var fwd *flit.ForwardStep
-			if len(snd.Subtree) > 0 {
-				fwd = &flit.ForwardStep{Subtree: append([]int(nil), snd.Subtree...)}
-			}
-			msgs[i] = f.NewMessage(src, []int{snd.To}, flit.ClassUnicast, payload, op, fwd, now)
-		}
-		return msgs, nil
+		return ForwardPlan(f, src, sorted, payload, op, now), nil
 
 	case SoftwareSeparate:
 		op.Phases = len(dests)

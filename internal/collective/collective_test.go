@@ -47,6 +47,36 @@ func TestBinomialSendsSmall(t *testing.T) {
 	}
 }
 
+// TestBinomialTreeStructure: rank 0 is the root, a parent clears the
+// child's lowest set bit, and every non-root rank is exactly once its
+// parent's child.
+func TestBinomialTreeStructure(t *testing.T) {
+	for r, want := range map[int]int{1: 0, 6: 4, 12: 8} {
+		if par, _ := binomial(r, 64); par != want {
+			t.Fatalf("parent of %d = %d, want %d", r, par, want)
+		}
+	}
+	for _, n := range []int{2, 7, 16, 64} {
+		seen := map[int]bool{}
+		for r := 0; r < n; r++ {
+			_, end := binomial(r, n)
+			for k := 1; r+k < end; k <<= 1 {
+				c := r + k
+				if seen[c] {
+					t.Fatalf("n=%d: child %d duplicated", n, c)
+				}
+				if par, _ := binomial(c, n); par != r {
+					t.Fatalf("n=%d: child %d of %d has parent %d", n, c, r, par)
+				}
+				seen[c] = true
+			}
+		}
+		if len(seen) != n-1 {
+			t.Fatalf("n=%d: tree covers %d of %d non-roots", n, len(seen), n-1)
+		}
+	}
+}
+
 // Property: the recursive binomial tree covers every destination exactly
 // once and completes in ceil(log2(d+1)) phases, for any degree.
 func TestBinomialTreeQuick(t *testing.T) {

@@ -148,67 +148,10 @@ func (s Schedule) MaxPayload() int {
 	return max
 }
 
-// rankOf maps node id to tree rank for a tree rooted at root over p
-// participants, and nodeOf inverts it. Rank 0 is always the root, so the
-// binomial parent/child arithmetic works for any root.
-func rankOf(node, root, p int) int { return (node - root + p) % p }
+// nodeOf maps tree rank to node id for a tree rooted at root over p
+// participants. Rank 0 is always the root, so the binomial tree arithmetic
+// works for any root.
 func nodeOf(rank, root, p int) int { return (rank + root) % p }
-
-// binParent returns the binomial-tree parent of rank r (undefined for 0):
-// r with its lowest set bit cleared.
-func binParent(r int) int { return r &^ (r & -r) }
-
-// binChildren returns the binomial-tree children of rank r among p ranks,
-// in increasing order.
-func binChildren(r, p int) []int {
-	var kids []int
-	for bit := 1; ; bit <<= 1 {
-		if r != 0 && bit >= r&-r {
-			break
-		}
-		c := r | bit
-		if c >= p {
-			break
-		}
-		kids = append(kids, c)
-	}
-	return kids
-}
-
-// binDepth returns, for every rank, the combining phase at which it sends to
-// its parent: leaves send at phase 1, an inner rank one phase after its
-// last child. depth[0] is the phase count of the whole combining tree.
-func binDepth(p int) []int {
-	depth := make([]int, p)
-	// Ranks in decreasing order: every child c of r satisfies c > r,
-	// so children are finalized before their parent.
-	for r := p - 1; r >= 0; r-- {
-		d := 0
-		for _, c := range binChildren(r, p) {
-			if depth[c] > d {
-				d = depth[c]
-			}
-		}
-		depth[r] = d + 1
-	}
-	// Root's "send phase" is really the phase at which it has combined
-	// everything; keep the +1 convention so depth[0]-1 phases of sends
-	// happened below it.
-	return depth
-}
-
-// binSubtree returns the size of each rank's binomial subtree (including
-// itself).
-func binSubtree(p int) []int {
-	size := make([]int, p)
-	for r := p - 1; r >= 0; r-- {
-		size[r] = 1
-		for _, c := range binChildren(r, p) {
-			size[r] += size[c]
-		}
-	}
-	return size
-}
 
 // scheduleBuilder accumulates steps keyed by (phase, src, first dest) and
 // resolves dependencies expressed as "the step that rank r sent/received".
@@ -294,28 +237,21 @@ func BuildSchedule(sp Spec, n int, hw bool) (Schedule, error) {
 
 	// combineUp builds the binomial combining tree: one unicast per
 	// non-root rank toward its parent, payload per rank given by payloadOf,
-	// dependent on the rank's own children. Returns the root's child step
-	// IDs and the deepest phase used.
+	// one phase after the rank's last child's send (leaves send at phase 1).
+	// Returns the root's child step IDs and the deepest phase used.
 	combineUp := func(payloadOf func(rank int) int) (rootDeps []int, maxPhase int) {
-		depth := binDepth(p)
-		sent := make([]int, p) // step id that rank r sends (ranks>0)
+		deps := make([][]int, p) // each rank's children's step IDs
+		phase := make([]int, p)  // each rank's latest child phase, then its own
+		// Ranks in decreasing order: every child c of r satisfies c > r,
+		// so children are finalized before their parent.
 		for r := p - 1; r >= 1; r-- {
-			var deps []int
-			for _, c := range binChildren(r, p) {
-				deps = append(deps, sent[c])
-			}
-			ph := depth[r]
-			if ph > maxPhase {
-				maxPhase = ph
-			}
-			sent[r] = b.add(nodeOf(r, root, p), []int{nodeOf(binParent(r), root, p)},
-				false, payloadOf(r), ph, deps)
+			par, _ := binomial(r, p)
+			phase[r]++
+			phase[par] = max(phase[par], phase[r])
+			deps[par] = append(deps[par], b.add(nodeOf(r, root, p), []int{nodeOf(par, root, p)},
+				false, payloadOf(r), phase[r], deps[r]))
 		}
-		for _, c := range binChildren(0, p) {
-			rootDeps = append(rootDeps, sent[c])
-		}
-		sort.Ints(rootDeps)
-		return rootDeps, maxPhase
+		return deps[0], phase[0]
 	}
 
 	switch s.Kind {
@@ -348,21 +284,18 @@ func BuildSchedule(sp Spec, n int, hw bool) (Schedule, error) {
 		} else {
 			// Binomial splitting: each message carries its whole
 			// subtree's personalized data.
-			size := binSubtree(p)
-			recv := make([]int, p)   // step id delivering to rank r
-			rdepth := make([]int, p) // phase at which rank r holds data
+			recv := make([]int, p)  // step id delivering to rank r
+			phase := make([]int, p) // phase at which rank r holds data
 			// Ranks in increasing order: parents precede children.
 			for r := 1; r < p; r++ {
-				par := binParent(r)
+				par, end := binomial(r, p)
 				var deps []int
-				ph := 1
 				if par != 0 {
 					deps = []int{recv[par]}
-					ph = rdepth[par] + 1
 				}
+				phase[r] = phase[par] + 1
 				recv[r] = b.add(nodeOf(par, root, p), []int{nodeOf(r, root, p)},
-					false, pay*size[r], ph, deps)
-				rdepth[r] = ph
+					false, pay*(end-r), phase[r], deps)
 			}
 		}
 
@@ -372,8 +305,10 @@ func BuildSchedule(sp Spec, n int, hw bool) (Schedule, error) {
 				b.add(node, []int{root}, false, pay, 1, nil)
 			}
 		} else {
-			size := binSubtree(p)
-			combineUp(func(r int) int { return pay * size[r] })
+			combineUp(func(r int) int {
+				_, end := binomial(r, p)
+				return pay * (end - r)
+			})
 		}
 
 	default:

@@ -129,7 +129,14 @@ func TestScatterGatherPayloadConservation(t *testing.T) {
 	// carries pay * its subtree size.
 	const pay = 4
 	for _, p := range []int{2, 5, 8, 16} {
-		size := binSubtree(p)
+		// Subtree sizes from the parent relation alone: each rank adds
+		// its finished subtree to its parent's.
+		size := make([]int, p)
+		for r := p - 1; r >= 1; r-- {
+			size[r]++
+			par, _ := binomial(r, p)
+			size[par] += size[r]
+		}
 		for _, k := range []Kind{Scatter, Gather} {
 			s, err := BuildSchedule(Spec{Kind: k, Participants: p, PayloadFlits: pay, Reps: 1}, p, false)
 			if err != nil {

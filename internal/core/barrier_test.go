@@ -2,60 +2,53 @@ package core
 
 import (
 	"testing"
+
+	"mdworm/internal/collective"
+	"mdworm/internal/stats"
 )
 
-func TestBarrierTreeStructure(t *testing.T) {
-	// Rank 0 is the root; parent clears the lowest set bit.
-	if barrierParent(1) != 0 || barrierParent(6) != 4 || barrierParent(12) != 8 {
-		t.Fatal("parents wrong")
+// barrierReps runs reps back-to-back collective.Barrier reps (binomial
+// gather, then one release under scheme) from cycle 0 on an otherwise idle
+// fabric, and returns their results after checking every rep came out clean
+// and the system drained.
+func barrierReps(t *testing.T, cfg Config, scheme collective.Scheme, reps int) *stats.CollectiveResults {
+	t.Helper()
+	cfg.Scheme = scheme
+	cfg.Traffic.OpRate = 0
+	cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+	cfg.Collective = collective.Spec{Kind: collective.Barrier, Reps: reps}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every rank appears exactly once as someone's child.
-	for _, n := range []int{2, 7, 16, 64} {
-		seen := map[int]bool{}
-		for r := 0; r < n; r++ {
-			for _, c := range barrierChildren(r, n) {
-				if seen[c] {
-					t.Fatalf("n=%d: child %d duplicated", n, c)
-				}
-				if barrierParent(c) != r {
-					t.Fatalf("n=%d: child %d of %d has parent %d", n, c, r, barrierParent(c))
-				}
-				seen[c] = true
-			}
-		}
-		if len(seen) != n-1 {
-			t.Fatalf("n=%d: tree covers %d of %d non-roots", n, len(seen), n-1)
-		}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatalf("%v: %v", scheme, err)
 	}
+	if !sim.Quiesced() {
+		t.Fatalf("%v: network not drained after barrier", scheme)
+	}
+	c := res.Collective
+	if c.LastArrival.Count != reps || c.LastArrival.Min <= 0 {
+		t.Fatalf("%v: %d of %d reps clean, latency %+v", scheme, c.LastArrival.Count, reps, c.LastArrival)
+	}
+	return c
 }
 
+// barrierLatency is the latency of one collective barrier under scheme.
+func barrierLatency(t *testing.T, cfg Config, scheme collective.Scheme) int64 {
+	t.Helper()
+	return int64(barrierReps(t, cfg, scheme, 1).LastArrival.Mean)
+}
+
+// TestBarrierSchemes: after the same binomial gather, one hardware
+// multidestination release worm beats the software U-MIN release tree.
 func TestBarrierSchemes(t *testing.T) {
-	run := func(scheme BarrierScheme) int64 {
-		cfg := DefaultConfig()
-		cfg.Traffic.OpRate = 0
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat, err := sim.RunBarrier(scheme, 2_000_000)
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		if !sim.Quiesced() {
-			t.Fatalf("%v: network not drained after barrier", scheme)
-		}
-		return lat
-	}
-	sw := run(BarrierSoftware)
-	hw := run(BarrierHardwareRelease)
+	sw := barrierLatency(t, DefaultConfig(), collective.SoftwareBinomial)
+	hw := barrierLatency(t, DefaultConfig(), collective.HardwareBitString)
 	t.Logf("barrier latency: software=%d hw-release=%d", sw, hw)
 	if hw >= sw {
 		t.Fatalf("hardware release (%d) not faster than software broadcast (%d)", hw, sw)
-	}
-	// Both include a full gather; the release difference is bounded by the
-	// software broadcast cost.
-	if hw <= 0 || sw <= 0 {
-		t.Fatal("non-positive barrier latency")
 	}
 }
 
@@ -66,49 +59,26 @@ func TestBarrierRequiresIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.genOn = true
-	if _, err := sim.RunBarrier(BarrierSoftware, 1000); err == nil {
+	if _, err := sim.RunCombiningBarrier(1000); err == nil {
 		t.Fatal("barrier allowed with generation on")
 	}
 }
 
+// TestBarrierRepeatable: back-to-back barrier reps on an idle fabric take
+// exactly the same time.
 func TestBarrierRepeatable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Traffic.OpRate = 0
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, err := sim.RunBarrier(BarrierHardwareRelease, 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := sim.RunBarrier(BarrierHardwareRelease, 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 != l2 {
-		t.Fatalf("back-to-back barriers differ on an idle network: %d vs %d", l1, l2)
+	c := barrierReps(t, DefaultConfig(), collective.HardwareBitString, 2)
+	if c.LastArrival.Min != c.LastArrival.Max {
+		t.Fatalf("back-to-back barriers differ on an idle network: %v vs %v", c.LastArrival.Min, c.LastArrival.Max)
 	}
 }
 
-// TestBarrierOnIrregularFabric: the barrier driver is topology-agnostic.
+// TestBarrierOnIrregularFabric: the barrier schedule is topology-agnostic.
 func TestBarrierOnIrregularFabric(t *testing.T) {
 	cfg := irregularCfg(21)
-	cfg.Traffic.OpRate = 0
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw, err := sim.RunBarrier(BarrierHardwareRelease, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim2, _ := New(cfg)
-	sw, err := sim2.RunBarrier(BarrierSoftware, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hw <= 0 || sw <= 0 || hw >= sw {
+	hw := barrierLatency(t, cfg, collective.HardwareBitString)
+	sw := barrierLatency(t, cfg, collective.SoftwareBinomial)
+	if hw >= sw {
 		t.Fatalf("irregular barrier: hw=%d sw=%d", hw, sw)
 	}
 }
@@ -126,7 +96,7 @@ func TestCombiningBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := sim.RunBarrier(BarrierHardwareCombining, 5_000_000)
+		l, err := sim.RunCombiningBarrier(5_000_000)
 		if err != nil {
 			t.Fatalf("stages=%d: %v", stages, err)
 		}
@@ -135,7 +105,7 @@ func TestCombiningBarrier(t *testing.T) {
 		}
 		lat[stages] = l
 		// Repeatable back-to-back (counters reset properly).
-		l2, err := sim.RunBarrier(BarrierHardwareCombining, 5_000_000)
+		l2, err := sim.RunCombiningBarrier(5_000_000)
 		if err != nil || l2 != l {
 			t.Fatalf("stages=%d: second barrier %d (err %v), first %d", stages, l2, err, l)
 		}
@@ -147,20 +117,16 @@ func TestCombiningBarrier(t *testing.T) {
 	// Compare all three schemes at N=64.
 	cfg := DefaultConfig()
 	cfg.Traffic.OpRate = 0
-	run := func(bs BarrierScheme) int64 {
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := sim.RunBarrier(bs, 5_000_000)
-		if err != nil {
-			t.Fatalf("%v: %v", bs, err)
-		}
-		return l
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	comb := run(BarrierHardwareCombining)
-	rel := run(BarrierHardwareRelease)
-	sw := run(BarrierSoftware)
+	comb, err := sim.RunCombiningBarrier(5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := barrierLatency(t, cfg, collective.HardwareBitString)
+	sw := barrierLatency(t, cfg, collective.SoftwareBinomial)
 	t.Logf("barrier N=64: combining=%d release=%d software=%d", comb, rel, sw)
 	if !(comb < rel && rel < sw) {
 		t.Fatalf("ordering violated: combining=%d release=%d software=%d", comb, rel, sw)
@@ -177,7 +143,7 @@ func TestCombiningBarrierOnInputBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := sim.RunBarrier(BarrierHardwareCombining, 5_000_000)
+	l, err := sim.RunCombiningBarrier(5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +165,7 @@ func TestCombiningBarrierIrregular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := sim.RunBarrier(BarrierHardwareCombining, 5_000_000)
+	l, err := sim.RunCombiningBarrier(5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +174,8 @@ func TestCombiningBarrierIrregular(t *testing.T) {
 	}
 }
 
-// TestCombiningBarrierUnderTrafficAftermath: a barrier right after a drained
-// data burst works (combining state is independent of data paths).
+// TestCombiningBarrierAfterTraffic: a barrier right after a drained data
+// burst works (combining state is independent of data paths).
 func TestCombiningBarrierAfterTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Traffic.OpRate = 0
@@ -220,7 +186,7 @@ func TestCombiningBarrierAfterTraffic(t *testing.T) {
 	if _, _, err := sim.RunOp(0, []int{1, 9, 33}, true, 64, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunBarrier(BarrierHardwareCombining, 5_000_000); err != nil {
+	if _, err := sim.RunCombiningBarrier(5_000_000); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -57,7 +57,7 @@ type Simulator struct {
 	capture    *obs.Capture
 
 	// deliverHook, when non-nil, observes every message delivery (after
-	// op accounting); barriers and tests use it to sequence phases.
+	// op accounting); tests use it to audit deliveries.
 	deliverHook func(m *flit.Message, proc int, now int64)
 }
 
@@ -442,12 +442,30 @@ func (s *Simulator) onWormDrop(m *flit.Message, ndests int, now int64) {
 // current cycle, using the configured scheme for multicasts. It returns the
 // op for completion tracking.
 func (s *Simulator) StartOp(src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
-	return s.startOpScheme(s.cfg.Scheme, src, dests, multicast, payload)
+	op, err := s.inject(src, dests, multicast, payload)
+	if err == nil && s.col.InWindow(op.Created) {
+		s.col.Class(multicast).OpsGenerated++
+	}
+	return op, err
 }
 
-// startOpScheme is StartOp with an explicit multicast scheme (barriers mix
-// schemes within one run).
-func (s *Simulator) startOpScheme(scheme collective.Scheme, src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
+// startCollectiveStep injects one collective schedule step as an op at the
+// current cycle. Unlike StartOp it attributes nothing to the windowed class
+// collectors: collective steps are measured per rep by the driver.
+func (s *Simulator) startCollectiveStep(st collective.Step) (*flit.Op, error) {
+	dests := st.Dests
+	if !st.Multicast {
+		// A unicast message keeps its dests; the schedule is reused every rep.
+		dests = append([]int(nil), dests...)
+	}
+	return s.inject(st.Src, dests, st.Multicast, st.Payload)
+}
+
+// inject creates one op from src to dests at the current cycle, planned
+// under the configured scheme when multicast, and submits its messages to
+// the source NIC. A unicast op needs exactly one destination and its
+// message keeps dests.
+func (s *Simulator) inject(src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
 	now := s.sim.Now
 	class := flit.ClassUnicast
 	if multicast {
@@ -456,9 +474,9 @@ func (s *Simulator) startOpScheme(scheme collective.Scheme, src int, dests []int
 	op := s.ops.New(s.ids.Next(), class, src, len(dests), now)
 	fac := &factory{cfg: &s.cfg, net: s.net, ids: &s.ids}
 	var msgs []*flit.Message
-	var err error
 	if multicast {
-		msgs, err = collective.Plan(scheme, s.net, fac, src, dests, payload, op, now)
+		var err error
+		msgs, err = collective.Plan(s.cfg.Scheme, s.net, fac, src, dests, payload, op, now)
 		if err != nil {
 			return nil, err
 		}
@@ -471,43 +489,9 @@ func (s *Simulator) startOpScheme(scheme collective.Scheme, src int, dests []int
 	}
 	s.nics[src].Submit(msgs...)
 	s.outstanding++
-	if s.col.InWindow(now) {
-		s.col.Class(multicast).OpsGenerated++
-	}
 	if s.sim.Tracing() {
 		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceOpStart, Actor: "core", Op: op.ID,
-			Detail: fmt.Sprintf("src=%d dests=%v scheme=%v", src, dests, scheme)})
-	}
-	return op, nil
-}
-
-// startCollectiveStep injects one collective schedule step as an op at the
-// current cycle. Unlike startOpScheme it attributes nothing to the windowed
-// class collectors: collective steps are measured per rep by the driver.
-func (s *Simulator) startCollectiveStep(st collective.Step) (*flit.Op, error) {
-	now := s.sim.Now
-	class := flit.ClassUnicast
-	if st.Multicast {
-		class = flit.ClassMulticast
-	}
-	op := s.ops.New(s.ids.Next(), class, st.Src, len(st.Dests), now)
-	fac := &factory{cfg: &s.cfg, net: s.net, ids: &s.ids}
-	var msgs []*flit.Message
-	if st.Multicast {
-		var err error
-		msgs, err = collective.Plan(s.cfg.Scheme, s.net, fac, st.Src, st.Dests, st.Payload, op, now)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		op.Phases = 1
-		msgs = []*flit.Message{fac.NewMessage(st.Src, append([]int(nil), st.Dests...), class, st.Payload, op, nil, now)}
-	}
-	s.nics[st.Src].Submit(msgs...)
-	s.outstanding++
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceOpStart, Actor: "core", Op: op.ID,
-			Detail: fmt.Sprintf("src=%d dests=%v scheme=%v", st.Src, st.Dests, s.cfg.Scheme)})
+			Detail: fmt.Sprintf("src=%d dests=%v scheme=%v", src, dests, s.cfg.Scheme)})
 	}
 	return op, nil
 }
@@ -692,10 +676,6 @@ func (s *Simulator) RunOp(src int, dests []int, multicast bool, payload int, bud
 	}
 	return op.LastLatency(), op, nil
 }
-
-// Step advances the simulation one cycle (generating traffic if a Run is in
-// progress); exposed for fine-grained tests.
-func (s *Simulator) Step() { s.sim.Step() }
 
 // Quiesced reports whether the whole system is idle (including a configured
 // collective workload having run to completion).

@@ -29,8 +29,7 @@ const (
 	secNICs       = "nics"
 	secFaults     = "faults"
 	// secEvents holds the event kernel's queued wake events (versioned
-	// inside the section); blobs that predate it restore with every
-	// component woken, which re-derives the queue from link and timer state.
+	// inside the section).
 	secEvents = "events"
 	// secCollective holds the collective driver's per-rep progress.
 	secCollective = "collective"
@@ -166,16 +165,10 @@ func (s *Simulator) restoreInto(r *ckpt.Reader) error {
 	}); err != nil {
 		return err
 	}
-	if r.Has(secEvents) {
-		if err := withSection(r, secEvents, func(d *ckpt.Dec) {
-			s.sim.DecodeEvents(d)
-		}); err != nil {
-			return err
-		}
-	} else {
-		// Pre-event-kernel blob: wake everything; spuriously awake
-		// components step as no-ops and re-derive their wake events.
-		s.sim.WakeAll()
+	if err := withSection(r, secEvents, func(d *ckpt.Dec) {
+		s.sim.DecodeEvents(d)
+	}); err != nil {
+		return err
 	}
 	if err := withSection(r, secInvariants, func(d *ckpt.Dec) {
 		s.sim.Invariants().DecodeState(d)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -123,6 +125,36 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		if _, err := Restore(mut); err == nil {
 			t.Errorf("flip at %d restored successfully", pos)
 		}
+	}
+}
+
+// TestRestoreRequiresEventsSection: a blob without the event kernel's
+// queued-wake section, the format that predates the event kernel, is
+// corrupt rather than restored with every component woken.
+func TestRestoreRequiresEventsSection(t *testing.T) {
+	blob := snapshotAt(t, snapTestConfig(), 500)
+	// Re-frame the container (see package ckpt) without the section.
+	body := blob[len(ckpt.Magic)+12:]
+	var kept []byte
+	for off := 0; off < len(body); {
+		start := off
+		nlen := int(binary.LittleEndian.Uint16(body[off:]))
+		name := string(body[off+2 : off+2+nlen])
+		off += 2 + nlen
+		off += 8 + int(binary.LittleEndian.Uint64(body[off:]))
+		if name != secEvents {
+			kept = append(kept, body[start:off]...)
+		}
+	}
+	if len(kept) == len(body) {
+		t.Fatalf("snapshot has no %q section", secEvents)
+	}
+	old := append([]byte(ckpt.Magic), make([]byte, 12)...)
+	binary.LittleEndian.PutUint32(old[len(ckpt.Magic):], crc32.ChecksumIEEE(kept))
+	binary.LittleEndian.PutUint64(old[len(ckpt.Magic)+4:], uint64(len(kept)))
+	old = append(old, kept...)
+	if _, err := Restore(old); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("blob without %q section gave %v, want ckpt.ErrCorrupt", secEvents, err)
 	}
 }
 

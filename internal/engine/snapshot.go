@@ -165,7 +165,7 @@ func (s *Simulation) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	}
 	// Rebuild the derived scheduler state: the awake bitmap mirrors the
 	// asleep flags, the busy-link census mirrors the decoded wires, and the
-	// event queue starts empty (DecodeEvents or WakeAll fills in wakes).
+	// event queue starts empty (DecodeEvents fills in wakes).
 	for i := range s.awake {
 		s.awake[i] = 0
 	}
@@ -261,17 +261,6 @@ func (s *Simulation) DecodeEvents(d *ckpt.Dec) {
 			s.comps[i].wakeAt = noWake
 		}
 	}
-}
-
-// WakeAll clears every component's sleep state and empties the event
-// queue. It is the safe fallback when restoring a checkpoint that predates
-// the event-queue section: a spuriously awake component steps as a no-op
-// and re-sleeps, re-deriving its wake events from link and timer state.
-func (s *Simulation) WakeAll() {
-	for i := range s.comps {
-		s.wakeIdx(int32(i))
-	}
-	s.evq.reset(s.Now)
 }
 
 // EncodeState writes the checker's counters and bounded samples. Strict is

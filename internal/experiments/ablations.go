@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mdworm/internal/collective"
 	"mdworm/internal/core"
 	"mdworm/internal/engine"
 	"mdworm/internal/routing"
@@ -309,29 +310,43 @@ func A7HotSpot(o Options) (*Table, error) {
 // authors' companion work across system sizes on an idle network: an
 // all-software binomial barrier, a binomial gather with a hardware
 // multidestination release, and the full in-switch combining barrier
-// (tokens combined by the switches themselves).
+// (tokens combined by the switches themselves). The first two are one rep
+// of the collective.Barrier schedule, the same executor C1 repeats, under
+// SW-UMIN and CB-HW; the third is the switches' own token protocol.
 func A8Barrier(o Options) (*Table, error) {
 	stages := []int{2, 3, 4}
 	if o.Quick {
 		stages = []int{2, 3}
 	}
-	schemes := []core.BarrierScheme{core.BarrierSoftware, core.BarrierHardwareRelease, core.BarrierHardwareCombining}
+	schemes := []struct {
+		name      string
+		con       Contender
+		combining bool
+	}{
+		{"sw-barrier", SWUMIN, false},
+		{"hw-release-barrier", CBHW, false},
+		{"hw-combining-barrier", CBHW, true},
+	}
 	var series []Series
 	for _, bs := range schemes {
-		s := Series{Name: bs.String()}
+		s := Series{Name: bs.name}
 		for _, st := range stages {
 			cfg := baseConfig(o)
 			cfg.Stages = st
 			cfg.Traffic.OpRate = 0
-			CBHW.Apply(&cfg)
-			tag := fmt.Sprintf("a8/%s/N%d", bs, cfg.N())
+			bs.con.Apply(&cfg)
+			if !bs.combining {
+				cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+				cfg.Collective = collective.Spec{Kind: collective.Barrier, Reps: 1}
+			}
+			tag := fmt.Sprintf("a8/%s/N%d", bs.name, cfg.N())
 			s.Points = append(s.Points, Point{X: float64(cfg.N()), Tag: tag, deferred: func() Point {
 				sim, err := core.New(cfg)
 				if err != nil {
 					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Err: err})
 					return Point{Err: err}
 				}
-				lat, err := sim.RunBarrier(bs, 10_000_000)
+				lat, err := runBarrier(sim, bs.combining)
 				if err != nil {
 					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Cycles: sim.Now(), Err: err})
 					return Point{Err: err, cycles: sim.Now()}
@@ -356,6 +371,24 @@ func A8Barrier(o Options) (*Table, error) {
 		Notes:   "mcast_lat column holds the barrier completion latency in cycles",
 		strict:  true,
 	}, nil
+}
+
+// runBarrier measures one barrier on an idle simulator: the in-switch
+// combining protocol, or the configured one-rep collective barrier driven
+// through Run.
+func runBarrier(sim *core.Simulator, combining bool) (int64, error) {
+	if combining {
+		return sim.RunCombiningBarrier(10_000_000)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		return 0, err
+	}
+	if c := res.Collective; c.LastArrival.Count != 1 {
+		return 0, fmt.Errorf("barrier incomplete after %d cycles (%d of %d reps clean)",
+			sim.Now(), c.LastArrival.Count, c.Started)
+	}
+	return int64(res.Collective.LastArrival.Mean), nil
 }
 
 // A9Irregular runs the contenders on a NOW-style irregular tree of switches

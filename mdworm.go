@@ -148,21 +148,6 @@ const (
 	UpAdaptive = routing.UpAdaptive
 )
 
-// Barrier synchronization schemes (see Simulator.RunBarrier).
-const (
-	// BarrierSoftware gathers and releases with binomial unicast trees.
-	BarrierSoftware = core.BarrierSoftware
-	// BarrierHardwareRelease gathers with a binomial tree and releases
-	// with one hardware multidestination worm.
-	BarrierHardwareRelease = core.BarrierHardwareRelease
-	// BarrierHardwareCombining combines single-flit tokens inside the
-	// switches along a spanning tree (central-buffer architecture only).
-	BarrierHardwareCombining = core.BarrierHardwareCombining
-)
-
-// BarrierScheme selects how Simulator.RunBarrier realizes a barrier.
-type BarrierScheme = core.BarrierScheme
-
 // FaultPlan is a deterministic fault plan injected through Config.Faults:
 // a sorted list of scheduled events applied by the engine's event loop.
 type FaultPlan = faults.Plan
