@@ -447,7 +447,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 			// The client's deadline expired but the shard continues
 			// server-side; re-asking eventually lands a cache hit.
 			writeErr(w, http.StatusGatewayTimeout, apiError{Code: "timeout",
-				Message: fmt.Sprintf("deadline of %dms elapsed; job continues, retry for the cached result", req.DeadlineMillis),
+				Message:   fmt.Sprintf("deadline of %dms elapsed; job continues, retry for the cached result", req.DeadlineMillis),
 				Retryable: true})
 			return
 		}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"mdworm/internal/topology"
 )
 
 // Canonicalization must be idempotent: normalizing an already-normalized
@@ -85,5 +88,35 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 	bad.Traffic.OpRate = 2
 	if _, err := bad.Canonicalize(); err == nil {
 		t.Error("OpRate=2 accepted")
+	}
+}
+
+// TestSwitchWidthBound: both switch models keep per-port activity in 64-bit
+// bitmaps, so a fabric whose widest switch has more than 64 ports is an
+// invalid configuration for either architecture, k-ary or irregular, and
+// is rejected before any switch is built.
+func TestSwitchWidthBound(t *testing.T) {
+	for _, arch := range []SwitchArch{CentralBuffer, InputBuffer} {
+		cfg := DefaultConfig()
+		cfg.Arch = arch
+		cfg.Stages = 1
+		cfg.Arity = 32 // 64 ports: the widest supported switch
+		if _, err := cfg.Canonicalize(); err != nil {
+			t.Errorf("%v arity 32: %v", arch, err)
+		}
+		cfg.Arity = 33
+		if _, err := cfg.Canonicalize(); err == nil || !strings.Contains(err.Error(), "at most 64") {
+			t.Errorf("%v arity 33: Canonicalize err = %v, want the 64-port bound", arch, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%v arity 33: New accepted the config", arch)
+		}
+		cfg = DefaultConfig()
+		cfg.Arch = arch
+		cfg.Topology = IrregularTree
+		cfg.Tree = topology.TreeSpec{Switches: 1, MinHosts: 65, MaxHosts: 65}
+		if _, err := cfg.Canonicalize(); err == nil || !strings.Contains(err.Error(), "at most 64") {
+			t.Errorf("%v 65-host irregular switch: Canonicalize err = %v, want the 64-port bound", arch, err)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"mdworm/internal/flit"
 	"mdworm/internal/nic"
 	"mdworm/internal/routing"
+	"mdworm/internal/switches"
 	"mdworm/internal/switches/centralbuf"
 	"mdworm/internal/switches/inputbuf"
 	"mdworm/internal/topology"
@@ -219,6 +220,12 @@ func (c *Config) normalize(net *topology.Network) error {
 	}
 	if c.Scheme == collective.HardwareMultiport && !net.Kary {
 		return fmt.Errorf("core: the multiport encoding requires a regular k-ary tree")
+	}
+	for _, sw := range net.Switches {
+		if sw.NumPorts() > switches.MaxPorts {
+			return fmt.Errorf("core: switch %d has %d ports; the switch models support at most %d",
+				sw.ID, sw.NumPorts(), switches.MaxPorts)
+		}
 	}
 	maxHeader := c.maxHeaderFlits(net)
 	maxPacket := c.maxPacketFlits(net)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mdworm/internal/ckpt"
 	"mdworm/internal/flit"
 )
 
@@ -160,6 +161,47 @@ func TestLinkReceiverOnePerCycle(t *testing.T) {
 	}
 	if _, ok := l.Arrived(3); !ok {
 		t.Fatal("flit lost")
+	}
+}
+
+// TestLinkArrivalBit: a bound arrival bit is set while any flit is on the
+// wire (sent, arrived or not) and cleared when the last one is taken;
+// binding and checkpoint restore re-derive it from the wire.
+func TestLinkArrivalBit(t *testing.T) {
+	var word uint64
+	l := NewLink("t", 2, 4)
+	w := testWorm(2)
+	l.Send(0, flit.Ref{W: w, Idx: 0})
+	l.BindArrival(&word, 3)
+	if word != 1<<3 {
+		t.Fatalf("binding a busy wire: word %#x, want bit 3", word)
+	}
+	l.Send(1, flit.Ref{W: w, Idx: 1})
+	l.TakeArrived(2)
+	if word != 1<<3 {
+		t.Fatalf("bit cleared with a flit still on the wire: %#x", word)
+	}
+	l.TakeArrived(3)
+	if word != 0 {
+		t.Fatalf("bit left set on an empty wire: %#x", word)
+	}
+	l.ReturnCredit(3, 2)
+	l.Send(5, flit.Ref{W: w, Idx: 0})
+	if word != 1<<3 {
+		t.Fatalf("Send did not set the bit: %#x", word)
+	}
+
+	g := ckpt.NewGraph()
+	l.CollectState(g)
+	var genc, enc ckpt.Enc
+	g.Encode(&genc)
+	l.EncodeState(&enc, g)
+	var twinWord uint64
+	twin := NewLink("t", 2, 4)
+	twin.BindArrival(&twinWord, 5)
+	twin.DecodeState(ckpt.NewDec(enc.Bytes()), ckpt.DecodeGraph(ckpt.NewDec(genc.Bytes())))
+	if twinWord != 1<<5 {
+		t.Fatalf("restored busy wire: word %#x, want bit 5", twinWord)
 	}
 }
 

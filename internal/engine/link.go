@@ -27,12 +27,16 @@ type Link struct {
 	carried  int64       // flits delivered over the lifetime of the link
 	activity *int64      // simulation activity counter
 	sim      *Simulation // owning kernel; nil for standalone links
-	recv     int32       // receiving component index, -1 if undeclared
+	// arrWord is the receiver's arrival bitmap, nil while no receiver is
+	// bound; bit arrShift of it marks this link (see BindArrival).
+	arrWord *uint64
 
 	capacity   int   // initial credit count, the overflow ceiling
-	failed     bool  // LinkDown fault: refuse new worms at the next boundary
-	midWorm    bool  // a worm's head has crossed without its tail
 	stuckUntil int64 // PortStuck fault: no sends strictly before this cycle
+	recv       int32 // receiving component index, -1 if undeclared
+	arrShift   uint8
+	failed     bool // LinkDown fault: refuse new worms at the next boundary
+	midWorm    bool // a worm's head has crossed without its tail
 
 	inv        *Invariants // checker sink; nil for standalone links
 	expectWorm *flit.Worm  // conservation: worm whose next flit must follow
@@ -175,6 +179,9 @@ func (l *Link) Send(now int64, r flit.Ref) {
 		l.sim.busyLinks++
 	}
 	l.inflight.push(timed[flit.Ref]{v: r, at: now + l.latency})
+	if l.arrWord != nil {
+		*l.arrWord |= 1 << l.arrShift
+	}
 	*l.activity++
 	if l.recv >= 0 {
 		l.sim.noteSend(l.recv, now+l.latency)
@@ -228,8 +235,13 @@ func (l *Link) TakeArrived(now int64) flit.Ref {
 		panic(fmt.Sprintf("engine: link %s: TakeArrived with nothing arrived at cycle %d", l.name, now))
 	}
 	l.inflight.pop()
-	if l.inflight.len() == 0 && l.sim != nil {
-		l.sim.busyLinks--
+	if l.inflight.len() == 0 {
+		if l.sim != nil {
+			l.sim.busyLinks--
+		}
+		if l.arrWord != nil {
+			*l.arrWord &^= 1 << l.arrShift
+		}
 	}
 	l.lastTake = now
 	l.carried++
@@ -249,6 +261,33 @@ func (l *Link) ReturnCredit(now int64, n int) {
 func (l *Link) Quiesced() bool { return l.inflight.len() == 0 }
 
 func (l *Link) bindActivity(counter *int64) { l.activity = counter }
+
+// BindArrival registers bit of *word as the receiver's arrival flag for this
+// link: Send sets it and TakeArrived clears it once the wire is empty, so
+// the bit is set whenever a flit is on the wire (possibly not yet arrived).
+// A receiver scans only the ports whose bits are set instead of polling
+// every input link each cycle. The flag is derived from the wire and is
+// never serialized; DecodeState re-derives it.
+func (l *Link) BindArrival(word *uint64, bit int) {
+	if bit < 0 || bit > 63 {
+		panic(fmt.Sprintf("engine: link %s: arrival bit %d outside a 64-bit word", l.name, bit))
+	}
+	l.arrWord = word
+	l.arrShift = uint8(bit)
+	l.syncArrival()
+}
+
+// syncArrival re-derives the bound arrival flag from the wire.
+func (l *Link) syncArrival() {
+	if l.arrWord == nil {
+		return
+	}
+	if l.inflight.len() > 0 {
+		*l.arrWord |= 1 << l.arrShift
+	} else {
+		*l.arrWord &^= 1 << l.arrShift
+	}
+}
 
 // Capacity returns the receiver buffer size the link was created with.
 func (l *Link) Capacity() int { return l.capacity }

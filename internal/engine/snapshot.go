@@ -99,6 +99,7 @@ func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	l.stuckUntil = d.I64()
 	l.expectWorm = g.WormAt(d, d.U64())
 	l.expectIdx = d.Int()
+	l.syncArrival()
 	if d.Err() != nil {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mdworm/internal/analytic"
+	"mdworm/internal/collective"
 )
 
 // TestA8PointEventsPinned pins a8's quick-mode stream: every point's tag,
@@ -80,5 +81,47 @@ func TestA8TracksAnalyticBarrier(t *testing.T) {
 	}
 	if checked != 6 {
 		t.Fatalf("checked %d barrier rows, want 6", checked)
+	}
+}
+
+// TestC2TracksAnalyticBroadcast holds c2's broadcast rows to the closed-form
+// multicast models — one multidestination worm for the hardware rows, the
+// software binomial relay chain for the U-MIN rows — an oracle independent
+// of the switch and collective code that measures them.
+func TestC2TracksAnalyticBroadcast(t *testing.T) {
+	o := Options{Seed: 1}
+	tab, err := Run("c2", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bands := map[string]float64{CBHW.Name: 0.10, IBHW.Name: 0.10, SWUMIN.Name: 0.15}
+	contenders := map[string]Contender{CBHW.Name: CBHW, IBHW.Name: IBHW, SWUMIN.Name: SWUMIN}
+	checked := 0
+	for _, s := range tab.Series {
+		con, ok := contenders[s.Name]
+		if !ok {
+			t.Fatalf("unexpected series %q", s.Name)
+		}
+		for _, p := range s.Points {
+			cfg := collConfig(o, collective.Broadcast)
+			cfg.Collective.PayloadFlits = int(p.X)
+			con.Apply(&cfg)
+			m := analytic.FromConfig(cfg)
+			want := m.SoftwareBinomial(int(p.X), m.N-1)
+			if con.Scheme.Hardware() {
+				want = m.HardwareMulticast(int(p.X), m.N-1)
+			}
+			sim := p.Results.Collective.LastArrival.Mean
+			rel := math.Abs(want-sim) / sim
+			t.Logf("%s L=%g: model %.1f vs simulation %.0f (%+.1f%%)", s.Name, p.X, want, sim, (want-sim)/sim*100)
+			if rel > bands[s.Name] {
+				t.Errorf("%s L=%g: model %.1f vs simulation %.0f, %.1f%% off (band %.0f%%)",
+					s.Name, p.X, want, sim, rel*100, bands[s.Name]*100)
+			}
+			checked++
+		}
+	}
+	if checked != 9 {
+		t.Fatalf("checked %d broadcast rows, want 9", checked)
 	}
 }

@@ -52,19 +52,19 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
-		"flood@10:sw0.p0",          // unknown kind
-		"link-down@:sw0.p0",        // missing cycle
-		"link-down@-5:sw0.p0",      // negative cycle
-		"link-down@10",             // missing target
-		"link-down@10:n3",          // wrong target shape
-		"link-down@10+50:sw0.p0",   // link-down is permanent
-		"cb-shrink@10+50:sw0*4",    // cb-shrink is permanent
-		"cb-shrink@10:sw0*0",       // must remove >= 1 chunk
-		"cb-shrink@10:sw0.p1",      // wrong target shape
-		"nic-stall@10:sw0.p1",      // wrong target shape
-		"nic-stall@10+0:n1",        // explicit zero duration
-		"port-stuck@10+-3:sw0.p0",  // negative duration
-		"port-stuck@10:sw-1.p0",    // negative switch
+		"flood@10:sw0.p0",         // unknown kind
+		"link-down@:sw0.p0",       // missing cycle
+		"link-down@-5:sw0.p0",     // negative cycle
+		"link-down@10",            // missing target
+		"link-down@10:n3",         // wrong target shape
+		"link-down@10+50:sw0.p0",  // link-down is permanent
+		"cb-shrink@10+50:sw0*4",   // cb-shrink is permanent
+		"cb-shrink@10:sw0*0",      // must remove >= 1 chunk
+		"cb-shrink@10:sw0.p1",     // wrong target shape
+		"nic-stall@10:sw0.p1",     // wrong target shape
+		"nic-stall@10+0:n1",       // explicit zero duration
+		"port-stuck@10+-3:sw0.p0", // negative duration
+		"port-stuck@10:sw-1.p0",   // negative switch
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {

@@ -37,11 +37,11 @@ func TestHashIgnoresFieldOrder(t *testing.T) {
 func TestHashIgnoresSpelledOutDefaults(t *testing.T) {
 	base := hashOf(t, `{}`)
 	for _, body := range []string{
-		`{"arch":"cb"}`,                       // default architecture
-		`{"scheme":"hw-bitstring"}`,           // default scheme
-		`{"degree":8,"seed":1}`,               // default workload fields
-		`{"stages":3,"arity":4}`,              // default fabric
-		`{"up_policy":"hash"}`,                // default routing
+		`{"arch":"cb"}`,                         // default architecture
+		`{"scheme":"hw-bitstring"}`,             // default scheme
+		`{"degree":8,"seed":1}`,                 // default workload fields
+		`{"stages":3,"arity":4}`,                // default fabric
+		`{"up_policy":"hash"}`,                  // default routing
 		`{"warmup_cycles":5000,"mcast_len":64}`, // default windows/lengths
 	} {
 		if h := hashOf(t, body); h != base {

@@ -127,12 +127,17 @@ func TestConcurrentMixedClients(t *testing.T) {
 	var mu sync.Mutex
 	bodies := make(map[int][][]byte)
 
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
+	// Clients run in lock-step rounds: each round starts once every client
+	// has its previous answer. The service does not merge identical
+	// in-flight misses, so only round 0 may miss, at most twice per config
+	// (two clients share each config there); later rounds find every
+	// config cached.
+	for i := 0; i < perClient; i++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
 				cfg := (c + i) % configs
 				resp, err := http.Post(ts.URL+"/v1/run", "application/json",
 					strings.NewReader(tinyRun(uint64(100+cfg))))
@@ -149,10 +154,10 @@ func TestConcurrentMixedClients(t *testing.T) {
 				mu.Lock()
 				bodies[cfg] = append(bodies[cfg], b)
 				mu.Unlock()
-			}
-		}(c)
+			}(c)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	total := int64(0)
 	for cfg, bs := range bodies {
@@ -558,6 +563,23 @@ func TestRunFaultErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsWideSwitch: a fabric whose switches exceed the 64-port bound
+// of the switch models is an invalid config (422), not a job panic (500).
+func TestRunRejectsWideSwitch(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, arch := range []string{"cb", "ib"} {
+		body := `{"config":{"arity":33,"stages":1,"arch":"` + arch + `"}}`
+		resp, got := postRun(t, ts.URL, body)
+		var e struct {
+			Error apiError `json:"error"`
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity ||
+			json.Unmarshal(got, &e) != nil || e.Error.Code != "invalid_config" {
+			t.Errorf("%s: %d %s, want 422 invalid_config", body, resp.StatusCode, got)
+		}
+	}
+}
+
 // TestMetricsPrometheusFormat: /metrics serves the Prometheus text exposition
 // format — versioned content type, HELP/TYPE headers for every family, valid
 // sample lines, and well-formed (cumulative) histograms — while keeping the
@@ -577,9 +599,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		t.Fatalf("content type %q, want %q", ct, obs.PromContentType)
 	}
 
-	types := map[string]string{}          // family -> TYPE
-	samples := map[string]float64{}       // sample name (no labels) -> last value
-	buckets := map[string][]float64{}     // histogram family -> cumulative bucket counts
+	types := map[string]string{}      // family -> TYPE
+	samples := map[string]float64{}   // sample name (no labels) -> last value
+	buckets := map[string][]float64{} // histogram family -> cumulative bucket counts
 	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
 	typeRe := regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram)$`)
 	helpRe := regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .+$`)

@@ -31,6 +31,7 @@ package centralbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
@@ -153,6 +154,9 @@ type inputState struct {
 	waitSince  int64
 }
 
+// idle reports whether the input holds no flits and no worm in progress.
+func (in *inputState) idle() bool { return in.mode == modeIdle && in.q.Empty() }
+
 type outputMode uint8
 
 const (
@@ -168,6 +172,10 @@ type outputState struct {
 	cur     *cbBranch // branch being served when mode == outCB
 	queue   []*cbBranch
 }
+
+// serving reports whether the output has a central-buffer branch in service
+// or queued.
+func (st *outputState) serving() bool { return st.mode == outCB || len(st.queue) != 0 }
 
 // packetBuf is one worm stored in (or streaming through) the central buffer.
 type packetBuf struct {
@@ -223,6 +231,16 @@ type Switch struct {
 	in  []inputState
 	out []outputState
 
+	// Port activity bitmaps (bit p = port p). Each per-cycle loop visits
+	// only the set bits of its bitmap, in ascending port order. They are
+	// derived state: a bit may be stale — its visit is a no-op and clears
+	// it — but a port whose loop body could act always has its bit set.
+	// DecodeState rebuilds them; they are never serialized.
+	arrivals uint64 // input links with flits on the wire (Link.Send sets, TakeArrived clears)
+	activeIn uint64 // inputs that are not idle (acceptArrivals sets, stepInputs clears)
+	drainOut uint64 // outputs whose FIFO holds flits (emit sets, stepOutputsDrain clears)
+	serveOut uint64 // outputs serving or queueing branches (admit sets, stepOutputsServe clears)
+
 	free        [2]int // free chunks per direction pool
 	chunksInUse int
 	wrBudget    int // central-buffer write slots left this cycle
@@ -254,6 +272,9 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 	if len(ports) != node.NumPorts() {
 		panic("centralbuf: port count mismatch")
 	}
+	if len(ports) > switches.MaxPorts {
+		panic(fmt.Sprintf("centralbuf: %d ports exceed the %d-port activity bitmaps", len(ports), switches.MaxPorts))
+	}
 	s := &Switch{
 		cfg:    cfg,
 		node:   node,
@@ -275,6 +296,11 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 	}
 	for o := range s.out {
 		s.out[o].boundIn = -1
+	}
+	for i, p := range ports {
+		if p.In != nil {
+			p.In.BindArrival(&s.arrivals, i)
+		}
 	}
 	return s
 }
@@ -317,13 +343,16 @@ func (s *Switch) Quiesced() bool {
 	if !s.tokenQuiesced() {
 		return false
 	}
-	for i := range s.in {
-		if s.in[i].mode != modeIdle || !s.in[i].q.Empty() {
+	// Ports outside the bitmaps hold nothing. (An output bound to a bypass
+	// is covered by its input, which stays active until the tail passes.)
+	for m := s.activeIn; m != 0; m &= m - 1 {
+		if !s.in[bits.TrailingZeros64(m)].idle() {
 			return false
 		}
 	}
-	for o := range s.out {
-		if s.out[o].mode != outIdle || s.out[o].fifo.Len() != 0 || len(s.out[o].queue) != 0 {
+	for m := s.drainOut | s.serveOut; m != 0; m &= m - 1 {
+		st := &s.out[bits.TrailingZeros64(m)]
+		if st.mode != outIdle || st.fifo.Len() != 0 || len(st.queue) != 0 {
 			return false
 		}
 	}
@@ -369,21 +398,29 @@ func (s *Switch) checkChunkConservation(now int64) {
 }
 
 func (s *Switch) stepOutputsDrain(now int64) {
-	for o := range s.out {
+	for m := s.drainOut; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
 		st := &s.out[o]
-		out := s.ports[o].Out
-		if st.fifo.Len() == 0 || out == nil {
-			continue
+		if out := s.ports[o].Out; st.fifo.Len() != 0 && out != nil {
+			if out.CanSend(now) {
+				out.Send(now, st.fifo.Pop())
+				s.stats.FlitsOut++
+			} else if out.Dead() && !out.MidWorm() && st.fifo.Front().Head() {
+				// The head worm never started transmission and never will;
+				// discard it at this clean boundary instead of wedging.
+				s.discardOutput(o, now)
+			}
 		}
-		if out.CanSend(now) {
-			out.Send(now, st.fifo.Pop())
-			s.stats.FlitsOut++
-		} else if out.Dead() && !out.MidWorm() && st.fifo.Front().Head() {
-			// The head worm never started transmission and never will;
-			// discard it at this clean boundary instead of wedging.
-			s.discardOutput(o, now)
+		if st.fifo.Len() == 0 {
+			s.drainOut &^= 1 << uint(o)
 		}
 	}
+}
+
+// emit stages flit r on output o's FIFO and marks the output for draining.
+func (s *Switch) emit(o int, r flit.Ref) {
+	s.out[o].fifo.Push(r)
+	s.drainOut |= 1 << uint(o)
 }
 
 // discardOutput drops the output FIFO's head worm when its link died before
@@ -457,42 +494,53 @@ func (s *Switch) reportDrop(now int64, w *flit.Worm, dropped bitset.Set) {
 }
 
 func (s *Switch) stepOutputsServe(now int64) {
-	for o := range s.out {
-		st := &s.out[o]
-		if st.mode == outIdle {
-			out := s.ports[o].Out
-			for len(st.queue) > 0 {
-				b := st.queue[0]
-				if out != nil && out.Dead() {
-					// The branch can never be transmitted; account the
-					// drop and release its hold on the packet.
-					st.queue = st.queue[1:]
-					s.reportDrop(now, b.child, b.child.Dests)
-					b.read = b.pb.total
-					s.advanceFreeing(b.pb, now)
-					continue
-				}
-				st.cur = b
+	for m := s.serveOut; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		s.serveOutput(o, now)
+		if !s.out[o].serving() {
+			s.serveOut &^= 1 << uint(o)
+		}
+	}
+}
+
+// serveOutput starts the next queued branch on an idle output and reads one
+// flit of the branch in service from the central buffer into the output
+// FIFO.
+func (s *Switch) serveOutput(o int, now int64) {
+	st := &s.out[o]
+	if st.mode == outIdle {
+		out := s.ports[o].Out
+		for len(st.queue) > 0 {
+			b := st.queue[0]
+			if out != nil && out.Dead() {
+				// The branch can never be transmitted; account the
+				// drop and release its hold on the packet.
 				st.queue = st.queue[1:]
-				st.mode = outCB
-				break
+				s.reportDrop(now, b.child, b.child.Dests)
+				b.read = b.pb.total
+				s.advanceFreeing(b.pb, now)
+				continue
 			}
+			st.cur = b
+			st.queue = st.queue[1:]
+			st.mode = outCB
+			break
 		}
-		if st.mode != outCB {
-			continue
-		}
-		b := st.cur
-		if s.rdBudget == 0 || st.fifo.Len() >= s.cfg.OutFIFOFlits || b.read >= b.pb.written {
-			continue
-		}
-		s.rdBudget--
-		st.fifo.Push(flit.Ref{W: b.child, Idx: b.read})
-		b.read++
-		s.advanceFreeing(b.pb, now)
-		if b.read == b.pb.total {
-			st.cur = nil
-			st.mode = outIdle
-		}
+	}
+	if st.mode != outCB {
+		return
+	}
+	b := st.cur
+	if s.rdBudget == 0 || st.fifo.Len() >= s.cfg.OutFIFOFlits || b.read >= b.pb.written {
+		return
+	}
+	s.rdBudget--
+	s.emit(o, flit.Ref{W: b.child, Idx: b.read})
+	b.read++
+	s.advanceFreeing(b.pb, now)
+	if b.read == b.pb.total {
+		st.cur = nil
+		st.mode = outIdle
 	}
 }
 
@@ -602,6 +650,7 @@ func (s *Switch) accrueReservations(now int64) {
 func (s *Switch) admit(pb *packetBuf, now int64) {
 	for _, b := range pb.branches {
 		s.out[b.out].queue = append(s.out[b.out].queue, b)
+		s.serveOut |= 1 << uint(b.out)
 	}
 	in := &s.in[pb.input]
 	in.mode = modeWrite
@@ -622,14 +671,22 @@ func (s *Switch) admit(pb *packetBuf, now int64) {
 }
 
 func (s *Switch) stepInputs(now int64) {
-	n := len(s.in)
 	// The service origin rotates one slot per cycle. It is derived from the
 	// clock (not a stored counter) so that cycles the active-set scheduler
 	// skips — during which the stored counter could not advance — leave the
-	// arbitration sequence bit-identical to an always-stepped switch.
-	off := int((now + 1) % int64(n))
-	for k := 0; k < n; k++ {
-		s.stepInput((off+k)%n, now)
+	// arbitration sequence bit-identical to an always-stepped switch. Active
+	// inputs at and above the origin go first, then those below it; an
+	// input's step touches no other input, so the bitmap is read once.
+	off := uint((now + 1) % int64(len(s.in)))
+	below := uint64(1)<<off - 1
+	for _, m := range [2]uint64{s.activeIn &^ below, s.activeIn & below} {
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			s.stepInput(i, now)
+			if s.in[i].idle() {
+				s.activeIn &^= 1 << uint(i)
+			}
+		}
 	}
 }
 
@@ -815,7 +872,7 @@ func (s *Switch) pushBypass(i int, now int64) {
 	}
 	r := in.q.Pop()
 	s.ports[i].In.ReturnCredit(now, 1)
-	st.fifo.Push(flit.Ref{W: in.plans[0].Child, Idx: r.Idx})
+	s.emit(o, flit.Ref{W: in.plans[0].Child, Idx: r.Idx})
 	s.stats.BypassFlits++
 	if r.Tail() {
 		st.mode = outIdle
@@ -870,17 +927,37 @@ func (s *Switch) clearInput(in *inputState) {
 }
 
 func (s *Switch) acceptArrivals(now int64) {
-	for i := range s.in {
-		if s.ports[i].In == nil {
+	for m := s.arrivals; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		link := s.ports[i].In
+		if _, ok := link.Arrived(now); !ok {
 			continue
 		}
-		if _, ok := s.ports[i].In.Arrived(now); ok {
-			r := s.ports[i].In.TakeArrived(now)
-			if s.in[i].q.Len() >= s.cfg.InFIFOFlits {
-				panic(fmt.Sprintf("%s: input %d FIFO overflow (credit protocol violated)", s.Name(), i))
-			}
-			s.in[i].q.Push(r)
-			s.stats.FlitsIn++
+		r := link.TakeArrived(now)
+		if s.in[i].q.Len() >= s.cfg.InFIFOFlits {
+			panic(fmt.Sprintf("%s: input %d FIFO overflow (credit protocol violated)", s.Name(), i))
+		}
+		s.in[i].q.Push(r)
+		s.activeIn |= 1 << uint(i)
+		s.stats.FlitsIn++
+	}
+}
+
+// rebuildActivity re-derives the port bitmaps from restored port state. The
+// arrival bits are re-derived by the input links themselves.
+func (s *Switch) rebuildActivity() {
+	s.activeIn, s.drainOut, s.serveOut = 0, 0, 0
+	for i := range s.in {
+		if !s.in[i].idle() {
+			s.activeIn |= 1 << uint(i)
+		}
+	}
+	for o := range s.out {
+		if s.out[o].fifo.Len() != 0 {
+			s.drainOut |= 1 << uint(o)
+		}
+		if s.out[o].serving() {
+			s.serveOut |= 1 << uint(o)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func (s *Switch) drainTokens() {
 		boundary := st.mode == outIdle && len(st.queue) == 0 &&
 			(st.fifo.Len() == 0 || st.fifo.Last().Tail())
 		if boundary && st.fifo.Len() < s.cfg.OutFIFOFlits {
-			st.fifo.Push(flit.Ref{W: pt.worm, Idx: 0})
+			s.emit(pt.port, flit.Ref{W: pt.worm, Idx: 0})
 			s.stats.TokensEmitted++
 			s.sim.Progress()
 			continue

@@ -381,6 +381,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			return
 		}
 	}
+	s.rebuildActivity()
 
 	for pool := range s.pendingRes {
 		nr := d.Count(8)

@@ -11,6 +11,10 @@ import (
 	"mdworm/internal/topology"
 )
 
+// MaxPorts is the widest switch either model supports: both keep their
+// per-port activity sets in uint64 bitmaps.
+const MaxPorts = 64
+
 // PortIO bundles the two unidirectional links of one bidirectional port.
 type PortIO struct {
 	// In carries flits arriving into the switch on this port.

@@ -18,6 +18,7 @@ package inputbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
@@ -141,6 +142,17 @@ type Switch struct {
 	// every branch list every cycle.
 	reqBits []uint64
 
+	// Port activity bitmaps (bit p = port p): each per-cycle loop visits
+	// only the set bits of its bitmap, in ascending port order. arrivals
+	// and activeIn may hold stale bits — a stale visit is a no-op and is
+	// cleared — but never miss a port whose loop body could act; boundOut
+	// and reqOut are exact. DecodeState rebuilds them; they are never
+	// serialized.
+	arrivals uint64 // input links with flits on the wire (Link.Send sets, TakeArrived clears)
+	activeIn uint64 // inputs holding worms (acceptArrivals sets, stepInputs clears)
+	boundOut uint64 // outputs bound to a branch (arbitrate sets, unbind clears)
+	reqOut   uint64 // outputs with a nonzero reqBits word (request sets, withdraw clears)
+
 	// Barrier combining state (see combine.go).
 	combineCount int
 	expected     int
@@ -156,8 +168,8 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 	if len(ports) != node.NumPorts() {
 		panic("inputbuf: port count mismatch")
 	}
-	if len(ports) > 64 {
-		panic("inputbuf: request bitmap supports at most 64 ports")
+	if len(ports) > switches.MaxPorts {
+		panic(fmt.Sprintf("inputbuf: %d ports exceed the %d-port activity bitmaps", len(ports), switches.MaxPorts))
 	}
 	s := &Switch{
 		cfg:     cfg,
@@ -173,6 +185,11 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 	}
 	for o := range s.out {
 		s.out[o].arb = switches.NewRoundRobin(len(ports))
+	}
+	for i, p := range ports {
+		if p.In != nil {
+			p.In.BindArrival(&s.arrivals, i)
+		}
 	}
 	return s
 }
@@ -205,16 +222,13 @@ func (s *Switch) InputCredits() int { return s.cfg.BufFlits }
 
 // Quiesced reports whether the switch holds no flits or packet state.
 func (s *Switch) Quiesced() bool {
-	if !s.tokenQuiesced() {
+	if !s.tokenQuiesced() || s.boundOut != 0 {
 		return false
 	}
-	for i := range s.in {
-		if len(s.in[i].queue) != 0 || s.in[i].mode != modeIdle {
-			return false
-		}
-	}
-	for o := range s.out {
-		if s.out[o].bound != nil {
+	// Inputs outside activeIn hold nothing.
+	for m := s.activeIn; m != 0; m &= m - 1 {
+		in := &s.in[bits.TrailingZeros64(m)]
+		if len(in.queue) != 0 || in.mode != modeIdle {
 			return false
 		}
 	}
@@ -237,7 +251,8 @@ func (s *Switch) Step(now int64) {
 // began sending; a branch that already sent its head finishes normally
 // (failure lands at worm boundaries, so flit conservation holds).
 func (s *Switch) dropDeadBranches(now int64) {
-	for i := range s.in {
+	for m := s.activeIn; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		in := &s.in[i]
 		if in.mode != modeActive {
 			continue
@@ -254,10 +269,10 @@ func (s *Switch) dropDeadBranches(now int64) {
 			b.done = true
 			b.sent = in.queue[0].w.Len()
 			if b.granted && s.out[b.out].bound == b {
-				s.out[b.out].bound = nil
+				s.unbind(b.out)
 			}
 			if !b.granted {
-				s.reqBits[b.out] &^= 1 << uint(i)
+				s.withdraw(b.out, i)
 			}
 		}
 	}
@@ -291,12 +306,9 @@ func (s *Switch) serveOutputs(now int64) {
 		s.finishHeads(now)
 		return
 	}
-	for o := range s.out {
-		st := &s.out[o]
-		b := st.bound
-		if b == nil {
-			continue
-		}
+	for m := s.boundOut; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		b := s.out[o].bound
 		in := &s.in[b.in]
 		head := &in.queue[0]
 		if b.sent >= head.got || s.ports[o].Out == nil || !s.ports[o].Out.CanSend(now) {
@@ -308,7 +320,7 @@ func (s *Switch) serveOutputs(now int64) {
 		s.stats.FlitsOut++
 		if b.sent == head.w.Len() {
 			b.done = true
-			st.bound = nil
+			s.unbind(o)
 		}
 		s.advanceFreeing(b.in, now)
 	}
@@ -318,7 +330,8 @@ func (s *Switch) serveOutputs(now int64) {
 // serveOutputsSync forwards flits with all branches of a head advancing in
 // lock-step (the feedback-coupled replication the paper rejects).
 func (s *Switch) serveOutputsSync(now int64) {
-	for i := range s.in {
+	for m := s.activeIn; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		in := &s.in[i]
 		if in.mode != modeActive || len(in.branches) == 0 {
 			continue
@@ -347,7 +360,7 @@ func (s *Switch) serveOutputsSync(now int64) {
 			s.stats.FlitsOut++
 			if b.sent == head.w.Len() {
 				b.done = true
-				s.out[b.out].bound = nil
+				s.unbind(b.out)
 			}
 		}
 		in.movedAt = now
@@ -382,7 +395,8 @@ func (s *Switch) advanceFreeing(i int, now int64) {
 
 // finishHeads pops head worms whose branches are all done.
 func (s *Switch) finishHeads(now int64) {
-	for i := range s.in {
+	for m := s.activeIn; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		in := &s.in[i]
 		if in.mode != modeActive || len(in.branches) == 0 {
 			continue
@@ -427,11 +441,9 @@ func (s *Switch) finishHeads(now int64) {
 // arbitrate grants unbound outputs to requesting head branches, round-robin
 // across inputs.
 func (s *Switch) arbitrate(now int64) {
-	for o := range s.out {
+	for m := s.reqOut &^ s.boundOut; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
 		st := &s.out[o]
-		if st.bound != nil || s.reqBits[o] == 0 {
-			continue
-		}
 		req := s.reqBits[o]
 		picked := st.arb.Pick(func(i int) bool {
 			return req&(1<<uint(i)) != 0
@@ -443,8 +455,9 @@ func (s *Switch) arbitrate(now int64) {
 		for _, b := range in.branches {
 			if b.out == o && !b.granted && !b.done {
 				b.granted = true
-				s.reqBits[o] &^= 1 << uint(picked)
+				s.withdraw(o, picked)
 				st.bound = b
+				s.boundOut |= 1 << uint(o)
 				s.stats.GrantWaitSum += now - b.reqAt
 				if s.sim.Tracing() {
 					s.sim.Emit(engine.TraceEvent{Kind: engine.TraceGrant, Actor: s.Name(),
@@ -458,55 +471,83 @@ func (s *Switch) arbitrate(now int64) {
 	}
 }
 
+// unbind releases output o from its branch.
+func (s *Switch) unbind(o int) {
+	s.out[o].bound = nil
+	s.boundOut &^= 1 << uint(o)
+}
+
+// request records that input i holds a requestable branch for output o.
+func (s *Switch) request(o, i int) {
+	s.reqBits[o] |= 1 << uint(i)
+	s.reqOut |= 1 << uint(o)
+}
+
+// withdraw removes input i's request for output o.
+func (s *Switch) withdraw(o, i int) {
+	s.reqBits[o] &^= 1 << uint(i)
+	if s.reqBits[o] == 0 {
+		s.reqOut &^= 1 << uint(o)
+	}
+}
+
 func (s *Switch) stepInputs(now int64) {
-	for i := range s.in {
-		in := &s.in[i]
-		switch in.mode {
-		case modeIdle:
-			if len(in.queue) == 0 {
-				continue
-			}
-			if head := &in.queue[0]; head.w.Msg.Class == flit.ClassBarrier {
-				// Barrier tokens are combined, never routed. The token
-				// is one flit; it is fully present once queued.
-				if head.got < head.w.Len() {
-					continue
-				}
-				w := head.w
-				in.queue = in.queue[1:]
-				in.occupancy--
-				s.ports[i].In.ReturnCredit(now, 1)
-				s.handleToken(i, w)
-				continue
-			}
-			in.mode = modeHeader
-			fallthrough
-		case modeHeader:
-			head := &in.queue[0]
-			need := min(head.w.HeaderFlits(), head.w.Len())
-			if head.got < need {
-				continue
-			}
-			in.decodeLeft = s.cfg.RouteDelay
-			in.mode = modeDecode
-			fallthrough
-		case modeDecode:
-			if in.decodeLeft > 0 {
-				in.decodeLeft--
-				s.sim.Progress()
-				continue
-			}
-			s.decode(i, now)
-		case modeActive:
-			// Branches are driven from serveOutputs/arbitrate; count
-			// cycles the head could not move a single flit (whether
-			// blocked on grants, downstream credits, or missing data).
-			if in.movedAt != now {
-				s.stats.HOLBlockedSum++
-			}
-		case modeSink:
-			s.sinkHead(i, now)
+	for m := s.activeIn; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		s.stepInput(i, now)
+		if len(s.in[i].queue) == 0 {
+			s.activeIn &^= 1 << uint(i)
 		}
+	}
+}
+
+func (s *Switch) stepInput(i int, now int64) {
+	in := &s.in[i]
+	switch in.mode {
+	case modeIdle:
+		if len(in.queue) == 0 {
+			return
+		}
+		if head := &in.queue[0]; head.w.Msg.Class == flit.ClassBarrier {
+			// Barrier tokens are combined, never routed. The token
+			// is one flit; it is fully present once queued.
+			if head.got < head.w.Len() {
+				return
+			}
+			w := head.w
+			in.queue = in.queue[1:]
+			in.occupancy--
+			s.ports[i].In.ReturnCredit(now, 1)
+			s.handleToken(i, w)
+			return
+		}
+		in.mode = modeHeader
+		fallthrough
+	case modeHeader:
+		head := &in.queue[0]
+		need := min(head.w.HeaderFlits(), head.w.Len())
+		if head.got < need {
+			return
+		}
+		in.decodeLeft = s.cfg.RouteDelay
+		in.mode = modeDecode
+		fallthrough
+	case modeDecode:
+		if in.decodeLeft > 0 {
+			in.decodeLeft--
+			s.sim.Progress()
+			return
+		}
+		s.decode(i, now)
+	case modeActive:
+		// Branches are driven from serveOutputs/arbitrate; count
+		// cycles the head could not move a single flit (whether
+		// blocked on grants, downstream credits, or missing data).
+		if in.movedAt != now {
+			s.stats.HOLBlockedSum++
+		}
+	case modeSink:
+		s.sinkHead(i, now)
 	}
 }
 
@@ -547,7 +588,7 @@ func (s *Switch) decode(i int, now int64) {
 	in.branches = make([]*branch, len(plans))
 	for bi, p := range plans {
 		in.branches[bi] = &branch{in: i, out: p.Port, child: p.Child, reqAt: now}
-		s.reqBits[p.Port] |= 1 << uint(i)
+		s.request(p.Port, i)
 	}
 	in.minSent = 0
 	in.mode = modeActive
@@ -578,32 +619,52 @@ func (s *Switch) sinkHead(i int, now int64) {
 }
 
 func (s *Switch) acceptArrivals(now int64) {
-	for i := range s.in {
-		if s.ports[i].In == nil {
+	for m := s.arrivals; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		link := s.ports[i].In
+		if _, ok := link.Arrived(now); !ok {
 			continue
 		}
-		if _, ok := s.ports[i].In.Arrived(now); ok {
-			r := s.ports[i].In.TakeArrived(now)
-			in := &s.in[i]
-			if in.occupancy >= s.cfg.BufFlits {
-				panic(fmt.Sprintf("%s: input %d buffer overflow (credit protocol violated)", s.Name(), i))
+		r := link.TakeArrived(now)
+		in := &s.in[i]
+		if in.occupancy >= s.cfg.BufFlits {
+			panic(fmt.Sprintf("%s: input %d buffer overflow (credit protocol violated)", s.Name(), i))
+		}
+		if n := len(in.queue); n > 0 && in.queue[n-1].w == r.W {
+			if r.Idx != in.queue[n-1].got {
+				panic(fmt.Sprintf("%s: input %d non-contiguous flit %v", s.Name(), i, r))
 			}
-			if n := len(in.queue); n > 0 && in.queue[n-1].w == r.W {
-				if r.Idx != in.queue[n-1].got {
-					panic(fmt.Sprintf("%s: input %d non-contiguous flit %v", s.Name(), i, r))
-				}
-				in.queue[n-1].got++
-			} else {
-				if r.Idx != 0 {
-					panic(fmt.Sprintf("%s: input %d new worm starting at flit %d", s.Name(), i, r.Idx))
-				}
-				in.queue = append(in.queue, wormRecv{w: r.W, got: 1})
+			in.queue[n-1].got++
+		} else {
+			if r.Idx != 0 {
+				panic(fmt.Sprintf("%s: input %d new worm starting at flit %d", s.Name(), i, r.Idx))
 			}
-			in.occupancy++
-			if in.occupancy > s.stats.MaxBufOccupancy {
-				s.stats.MaxBufOccupancy = in.occupancy
-			}
-			s.stats.FlitsIn++
+			in.queue = append(in.queue, wormRecv{w: r.W, got: 1})
+			s.activeIn |= 1 << uint(i)
+		}
+		in.occupancy++
+		if in.occupancy > s.stats.MaxBufOccupancy {
+			s.stats.MaxBufOccupancy = in.occupancy
+		}
+		s.stats.FlitsIn++
+	}
+}
+
+// rebuildActivity re-derives the port bitmaps from restored state. The
+// arrival bits are re-derived by the input links themselves.
+func (s *Switch) rebuildActivity() {
+	s.activeIn, s.boundOut, s.reqOut = 0, 0, 0
+	for i := range s.in {
+		if len(s.in[i].queue) != 0 {
+			s.activeIn |= 1 << uint(i)
+		}
+	}
+	for o := range s.out {
+		if s.out[o].bound != nil {
+			s.boundOut |= 1 << uint(o)
+		}
+		if s.reqBits[o] != 0 {
+			s.reqOut |= 1 << uint(o)
 		}
 	}
 }

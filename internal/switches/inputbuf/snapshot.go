@@ -191,6 +191,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 		st.arb.SetLast(last)
 	}
+	s.rebuildActivity()
 
 	s.combineCount = d.Int()
 	s.expected = d.Int()
