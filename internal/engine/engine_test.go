@@ -98,33 +98,54 @@ func TestRNGFloat64Range(t *testing.T) {
 func TestLinkDelivery(t *testing.T) {
 	l := NewLink("t", 3, 4)
 	w := testWorm(4)
-	if !l.CanSend(0) {
+	if !l.TrySend(0, flit.Ref{W: w, Idx: 0}) {
 		t.Fatal("fresh link cannot send")
 	}
-	l.Send(0, flit.Ref{W: w, Idx: 0})
 	for now := int64(0); now < 3; now++ {
-		if _, ok := l.Arrived(now); ok {
+		if _, ok := l.Take(now); ok {
 			t.Fatalf("flit visible at cycle %d before latency", now)
 		}
 	}
-	r, ok := l.Arrived(3)
-	if !ok || r.Idx != 0 {
-		t.Fatalf("flit not delivered at latency: %v %v", r, ok)
+	mustSend(t, l, 2, flit.Ref{W: w, Idx: 1})
+	r, ok := l.Take(3)
+	if !ok || r.Idx != 0 || l.Carried() != 1 {
+		t.Fatalf("flit not delivered at latency: %v %v carried=%d", r, ok, l.Carried())
 	}
-	got := l.TakeArrived(3)
-	if got.Idx != 0 || l.Carried() != 1 {
-		t.Fatalf("TakeArrived wrong: %v carried=%d", got, l.Carried())
+	// The flit behind the taken one keeps its own arrival cycle.
+	if _, ok := l.Take(4); ok {
+		t.Fatal("second flit visible at cycle 4, before its arrival at 5")
 	}
+	if r, ok := l.Take(5); !ok || r.Idx != 1 {
+		t.Fatalf("second flit not delivered at cycle 5: %v %v", r, ok)
+	}
+}
+
+// mustSend sends r on l at now, failing the test if the link refuses it.
+func mustSend(t *testing.T, l *Link, now int64, r flit.Ref) {
+	t.Helper()
+	if !l.TrySend(now, r) {
+		t.Fatalf("link %s refused flit %v at cycle %d", l.Name(), r, now)
+	}
+}
+
+// mustTake takes a flit off l at now, failing the test if none has arrived.
+func mustTake(t *testing.T, l *Link, now int64) flit.Ref {
+	t.Helper()
+	r, ok := l.Take(now)
+	if !ok {
+		t.Fatalf("link %s: nothing to take at cycle %d", l.Name(), now)
+	}
+	return r
 }
 
 func TestLinkBandwidthOnePerCycle(t *testing.T) {
 	l := NewLink("t", 1, 10)
 	w := testWorm(4)
-	l.Send(5, flit.Ref{W: w, Idx: 0})
-	if l.CanSend(5) {
+	mustSend(t, l, 5, flit.Ref{W: w, Idx: 0})
+	if l.TrySend(5, flit.Ref{W: w, Idx: 1}) {
 		t.Fatal("second send allowed in same cycle")
 	}
-	if !l.CanSend(6) {
+	if !l.TrySend(6, flit.Ref{W: w, Idx: 1}) {
 		t.Fatal("send not allowed next cycle")
 	}
 }
@@ -132,12 +153,12 @@ func TestLinkBandwidthOnePerCycle(t *testing.T) {
 func TestLinkCredits(t *testing.T) {
 	l := NewLink("t", 1, 2)
 	w := testWorm(4)
-	l.Send(0, flit.Ref{W: w, Idx: 0})
-	l.Send(1, flit.Ref{W: w, Idx: 1})
+	mustSend(t, l, 0, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, 1, flit.Ref{W: w, Idx: 1})
 	if l.CanSend(2) {
 		t.Fatal("send allowed with zero credits")
 	}
-	l.TakeArrived(2) // receiver buffers it...
+	mustTake(t, l, 2) // receiver buffers it...
 	if l.CanSend(3) {
 		t.Fatal("credit appeared without ReturnCredit")
 	}
@@ -153,13 +174,13 @@ func TestLinkCredits(t *testing.T) {
 func TestLinkReceiverOnePerCycle(t *testing.T) {
 	l := NewLink("t", 1, 4)
 	w := testWorm(4)
-	l.Send(0, flit.Ref{W: w, Idx: 0})
-	l.Send(1, flit.Ref{W: w, Idx: 1})
-	l.TakeArrived(2)
-	if _, ok := l.Arrived(2); ok {
+	mustSend(t, l, 0, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, 1, flit.Ref{W: w, Idx: 1})
+	mustTake(t, l, 2)
+	if _, ok := l.Take(2); ok {
 		t.Fatal("second take allowed in one cycle")
 	}
-	if _, ok := l.Arrived(3); !ok {
+	if _, ok := l.Take(3); !ok {
 		t.Fatal("flit lost")
 	}
 }
@@ -171,24 +192,24 @@ func TestLinkArrivalBit(t *testing.T) {
 	var word uint64
 	l := NewLink("t", 2, 4)
 	w := testWorm(2)
-	l.Send(0, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, 0, flit.Ref{W: w, Idx: 0})
 	l.BindArrival(&word, 3)
 	if word != 1<<3 {
 		t.Fatalf("binding a busy wire: word %#x, want bit 3", word)
 	}
-	l.Send(1, flit.Ref{W: w, Idx: 1})
-	l.TakeArrived(2)
+	mustSend(t, l, 1, flit.Ref{W: w, Idx: 1})
+	mustTake(t, l, 2)
 	if word != 1<<3 {
 		t.Fatalf("bit cleared with a flit still on the wire: %#x", word)
 	}
-	l.TakeArrived(3)
+	mustTake(t, l, 3)
 	if word != 0 {
 		t.Fatalf("bit left set on an empty wire: %#x", word)
 	}
 	l.ReturnCredit(3, 2)
-	l.Send(5, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, 5, flit.Ref{W: w, Idx: 0})
 	if word != 1<<3 {
-		t.Fatalf("Send did not set the bit: %#x", word)
+		t.Fatalf("TrySend did not set the bit: %#x", word)
 	}
 
 	g := ckpt.NewGraph()
@@ -205,16 +226,36 @@ func TestLinkArrivalBit(t *testing.T) {
 	}
 }
 
-func TestLinkSendWithoutCreditPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
+// encodeLink returns the link's checkpoint bytes, its worm graph included.
+func encodeLink(l *Link) []byte {
+	g := ckpt.NewGraph()
+	l.CollectState(g)
+	var genc, enc ckpt.Enc
+	g.Encode(&genc)
+	l.EncodeState(&enc, g)
+	return append(genc.Bytes(), enc.Bytes()...)
+}
+
+// TestLinkTrySendWithoutCreditRefuses: a send the link cannot grant is
+// refused without touching the wire, the credits, the bandwidth slot, the
+// conservation tracking or the arrival bit.
+func TestLinkTrySendWithoutCreditRefuses(t *testing.T) {
+	var word uint64
 	l := NewLink("t", 1, 1)
+	l.BindArrival(&word, 0)
 	w := testWorm(4)
-	l.Send(0, flit.Ref{W: w, Idx: 0})
-	l.Send(1, flit.Ref{W: w, Idx: 1})
+	mustSend(t, l, 0, flit.Ref{W: w, Idx: 0})
+	mustTake(t, l, 1)
+	before := encodeLink(l)
+	if l.TrySend(1, flit.Ref{W: w, Idx: 1}) {
+		t.Fatal("send without credit granted")
+	}
+	if got := encodeLink(l); string(got) != string(before) {
+		t.Fatal("refused TrySend changed the link state")
+	}
+	if word != 0 || l.InFlight() != 0 {
+		t.Fatalf("refused TrySend put a flit on the wire: bit %#x, in flight %d", word, l.InFlight())
+	}
 }
 
 // pipe is a minimal component that forwards flits from one link to another.
@@ -228,13 +269,14 @@ type pipe struct {
 func (p *pipe) Name() string   { return p.name }
 func (p *pipe) Quiesced() bool { return len(p.held) == 0 }
 func (p *pipe) Step(now int64) {
-	if len(p.held) > 0 && p.out != nil && p.out.CanSend(now) {
-		p.out.Send(now, p.held[0])
+	if len(p.held) > 0 && p.out != nil && p.out.TrySend(now, p.held[0]) {
 		p.held = p.held[1:]
 		p.in.ReturnCredit(now, 1)
 	}
-	if _, ok := p.in.Arrived(now); ok && len(p.held) < p.cap {
-		p.held = append(p.held, p.in.TakeArrived(now))
+	if len(p.held) < p.cap {
+		if r, ok := p.in.Take(now); ok {
+			p.held = append(p.held, r)
+		}
 	}
 }
 
@@ -247,8 +289,7 @@ type sink struct {
 func (s *sink) Name() string   { return "sink" }
 func (s *sink) Quiesced() bool { return true }
 func (s *sink) Step(now int64) {
-	if _, ok := s.in.Arrived(now); ok {
-		s.in.TakeArrived(now)
+	if _, ok := s.in.Take(now); ok {
 		s.in.ReturnCredit(now, 1)
 		s.arrivals = append(s.arrivals, now)
 	}
@@ -265,10 +306,10 @@ func TestSimulationPipeline(t *testing.T) {
 
 	w := testWorm(3)
 	for i := 0; i < 3; i++ {
-		if !l1.CanSend(sim.Now) {
+		if !l1.TrySend(sim.Now, flit.Ref{W: w, Idx: i}) {
 			sim.Step()
+			mustSend(t, l1, sim.Now, flit.Ref{W: w, Idx: i})
 		}
-		l1.Send(sim.Now, flit.Ref{W: w, Idx: i})
 		sim.Step()
 	}
 	ok, err := sim.Drain(100)
@@ -341,11 +382,11 @@ func TestLinkAccessors(t *testing.T) {
 		t.Fatal("fresh link accessors wrong")
 	}
 	w := testWorm(2)
-	l.Send(0, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, 0, flit.Ref{W: w, Idx: 0})
 	if l.Quiesced() || l.InFlight() != 1 {
 		t.Fatal("in-flight accounting wrong")
 	}
-	l.TakeArrived(2)
+	mustTake(t, l, 2)
 	if !l.Quiesced() {
 		t.Fatal("link not quiesced after delivery")
 	}
@@ -364,7 +405,7 @@ func TestDeadlockErrorListsLinks(t *testing.T) {
 	sim := NewSimulation(10)
 	l := sim.NewLink("stuck-wire", 1, 1)
 	w := testWorm(2)
-	l.Send(0, flit.Ref{W: w, Idx: 0}) // never consumed
+	mustSend(t, l, 0, flit.Ref{W: w, Idx: 0}) // never consumed
 	err := sim.Run(100)
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -514,15 +555,15 @@ func TestLinkFastPathAllocs(t *testing.T) {
 	now := int64(0)
 	// Warm the rings past their initial growth.
 	for i := 0; i < 16; i++ {
-		l.Send(now, flit.Ref{W: w, Idx: 0})
+		l.TrySend(now, flit.Ref{W: w, Idx: 0})
 		now++
-		l.TakeArrived(now)
+		l.Take(now)
 		l.ReturnCredit(now, 1)
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		l.Send(now, flit.Ref{W: w, Idx: 0})
+		l.TrySend(now, flit.Ref{W: w, Idx: 0})
 		now++
-		l.TakeArrived(now)
+		l.Take(now)
 		l.ReturnCredit(now, 1)
 	})
 	if avg != 0 {
@@ -540,15 +581,14 @@ func (c *counter) Name() string   { return "counter" }
 func (c *counter) Quiesced() bool { return true }
 func (c *counter) Step(now int64) {
 	c.steps++
-	if _, ok := c.in.Arrived(now); ok {
-		c.in.TakeArrived(now)
+	if _, ok := c.in.Take(now); ok {
 		c.in.ReturnCredit(now, 1)
 	}
 }
 
 // TestActiveSetSkipsIdle checks the scheduler contract: a component with
 // declared inputs is stepped while stimulated, sleeps once idle, and is
-// re-armed by a Send on a declared link or an explicit Wake.
+// re-armed by a send on a declared link or an explicit Wake.
 func TestActiveSetSkipsIdle(t *testing.T) {
 	sim := NewSimulation(0)
 	l := sim.NewLink("in", 1, 4)
@@ -564,7 +604,7 @@ func TestActiveSetSkipsIdle(t *testing.T) {
 	}
 
 	w := testWorm(2)
-	l.Send(sim.Now, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, sim.Now, flit.Ref{W: w, Idx: 0})
 	if err := sim.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -616,15 +656,16 @@ type relay struct {
 func (r *relay) Name() string   { return r.name }
 func (r *relay) Quiesced() bool { return r.n == 0 }
 func (r *relay) Step(now int64) {
-	if r.n > 0 && r.out.CanSend(now) {
-		r.out.Send(now, r.buf[0])
+	if r.n > 0 && r.out.TrySend(now, r.buf[0]) {
 		copy(r.buf[:], r.buf[1:r.n])
 		r.n--
 		r.in.ReturnCredit(now, 1)
 	}
-	if _, ok := r.in.Arrived(now); ok && r.n < len(r.buf) {
-		r.buf[r.n] = r.in.TakeArrived(now)
-		r.n++
+	if r.n < len(r.buf) {
+		if f, ok := r.in.Take(now); ok {
+			r.buf[r.n] = f
+			r.n++
+		}
 	}
 }
 
@@ -641,7 +682,7 @@ func steadyRing() *Simulation {
 	sim.DeclareInputs(r2, lb)
 	// A single-flit worm keeps the per-link conservation checker satisfied
 	// as the same flit loops forever.
-	la.Send(sim.Now, flit.Ref{W: testWorm(1), Idx: 0})
+	la.TrySend(sim.Now, flit.Ref{W: testWorm(1), Idx: 0})
 	return sim
 }
 
@@ -679,9 +720,9 @@ func BenchmarkLinkSendTakeCredit(b *testing.B) {
 	b.ReportAllocs()
 	now := int64(0)
 	for i := 0; i < b.N; i++ {
-		l.Send(now, flit.Ref{W: w, Idx: 0})
+		l.TrySend(now, flit.Ref{W: w, Idx: 0})
 		now++
-		l.TakeArrived(now)
+		l.Take(now)
 		l.ReturnCredit(now, 1)
 	}
 }

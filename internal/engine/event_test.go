@@ -26,8 +26,7 @@ func (r *recorder) Step(now int64) {
 		*r.journal = append(*r.journal, r.name)
 	}
 	if r.in != nil {
-		if _, ok := r.in.Arrived(now); ok {
-			r.in.TakeArrived(now)
+		if _, ok := r.in.Take(now); ok {
 			r.in.ReturnCredit(now, 1)
 		}
 	}
@@ -163,7 +162,7 @@ func TestClockJumpsOverIdleSpans(t *testing.T) {
 	}
 	c.cycles = nil
 	w := testWorm(1)
-	l.Send(sim.Now, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, sim.Now, flit.Ref{W: w, Idx: 0})
 	arrive := sim.Now + 100
 	if err := sim.Run(300); err != nil {
 		t.Fatal(err)
@@ -231,9 +230,7 @@ func TestEventSchedulingSteadyStateAllocs(t *testing.T) {
 	w := testWorm(1)
 	send := func() {
 		for i := 0; i < 20; i++ {
-			if l.CanSend(sim.Now) {
-				l.Send(sim.Now, flit.Ref{W: w, Idx: 0})
-			}
+			l.TrySend(sim.Now, flit.Ref{W: w, Idx: 0})
 			if err := sim.Run(16); err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +262,7 @@ func TestSnapshotRoundTripWithPendingEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := testWorm(1)
-	l.Send(sim.Now, flit.Ref{W: w, Idx: 0})
+	mustSend(t, l, sim.Now, flit.Ref{W: w, Idx: 0})
 	arrive := sim.Now + 50
 	if err := sim.Run(10); err != nil { // sleeps rx with a pending wake event
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdworm/internal/flit"
 )
@@ -13,30 +14,40 @@ import (
 // credits (after the same link latency) when the receiver frees buffer
 // space. With this discipline the receiver never overflows, so arriving
 // flits can always be accepted.
+//
+// A link's queues are sized by the wire, not by the receiver's buffer. A
+// receiver that takes each flit on its arrival cycle leaves at most
+// latency+1 flits on the wire (the ones sent from now-latency to now), and
+// ReturnCredit folds every return already due into the sender's count, so
+// at most latency returns are pending. Both rings start at those bounds;
+// they grow only when a receiver leaves flits on the wire, which the credit
+// count still bounds.
 type Link struct {
-	name    string
-	latency int64
+	// Per-flit state. headAt and creditAt cache the due cycles at the front
+	// of the two rings, so a refused send or take reads no ring memory.
+	headAt   int64 // arrival cycle of the oldest flit on the wire; noWake if none
+	creditAt int64 // due cycle of the oldest pending credit return; noWake if none
+	lastSend int64 // cycle of the most recent send, for the 1 flit/cycle limit
+	lastTake int64 // cycle of the most recent take
+	latency  int64
+	credits  int // sender-visible credits, every return due so far folded in
 
 	inflight ring[flit.Ref] // flits on the wire, in send order
-	creditsQ ring[int]      // credit returns on the reverse wire
-	credits  int            // sender-visible credits (after draining creditsQ)
+	creditsQ ring[int]      // credit returns on the reverse wire, one per due cycle
 
-	lastSend int64 // cycle of most recent Send, for the 1 flit/cycle limit
-	lastTake int64 // cycle of most recent TakeArrived
-
-	carried  int64       // flits delivered over the lifetime of the link
-	activity *int64      // simulation activity counter
-	sim      *Simulation // owning kernel; nil for standalone links
+	sim *Simulation // owning kernel; nil for standalone links
 	// arrWord is the receiver's arrival bitmap, nil while no receiver is
 	// bound; bit arrShift of it marks this link (see BindArrival).
-	arrWord *uint64
+	arrWord  *uint64
+	recv     int32 // receiving component index, -1 if undeclared
+	arrShift uint8
+	failed   bool // LinkDown fault: refuse new worms at the next boundary
+	midWorm  bool // a worm's head has crossed without its tail
 
+	name       string
+	carried    int64 // flits delivered over the lifetime of the link
 	capacity   int   // initial credit count, the overflow ceiling
 	stuckUntil int64 // PortStuck fault: no sends strictly before this cycle
-	recv       int32 // receiving component index, -1 if undeclared
-	arrShift   uint8
-	failed     bool // LinkDown fault: refuse new worms at the next boundary
-	midWorm    bool // a worm's head has crossed without its tail
 
 	inv        *Invariants // checker sink; nil for standalone links
 	expectWorm *flit.Worm  // conservation: worm whose next flit must follow
@@ -48,9 +59,9 @@ type timed[T any] struct {
 	at int64
 }
 
-// ring is an index-based FIFO over a power-of-two backing array. Unlike the
-// re-sliced append queue it replaces, pops advance a head index and pushes
-// reuse freed slots, so a link in steady state allocates nothing.
+// ring is an index-based FIFO over a power-of-two backing array. Pops
+// advance a head index and pushes reuse freed slots, so a link in steady
+// state allocates nothing.
 type ring[T any] struct {
 	buf  []timed[T]
 	head int
@@ -61,6 +72,11 @@ func (r *ring[T]) len() int { return r.n }
 
 // front returns the oldest element; the ring must be non-empty.
 func (r *ring[T]) front() *timed[T] { return &r.buf[r.head] }
+
+// at returns the i-th queued element (0 = oldest) without consuming it.
+func (r *ring[T]) at(i int) *timed[T] {
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
 
 func (r *ring[T]) push(v timed[T]) {
 	if r.n == len(r.buf) {
@@ -79,48 +95,62 @@ func (r *ring[T]) pop() timed[T] {
 	return e
 }
 
+// grow doubles the ring on the heap. Wire-sized rings reach it only when a
+// receiver leaves arrived flits on the wire, or on restoring a checkpoint
+// that holds more pending returns than the wire bound.
 func (r *ring[T]) grow() {
-	size := 2 * len(r.buf)
-	if size == 0 {
-		size = 4
-	}
-	buf := make([]timed[T], size)
+	buf := make([]timed[T], 2*len(r.buf))
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		buf[i] = *r.at(i)
 	}
 	r.buf = buf
 	r.head = 0
 }
 
-// NewLink creates a link with the given latency (>= 1) and initial credit
-// count (the capacity of the receiver's buffer).
-func NewLink(name string, latency, credits int) *Link {
+// reset empties the ring, keeping its storage.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
+// wireSlots returns the initial ring sizes of a link: latency+1 flits on the
+// wire and latency pending credit returns, neither above the credit count,
+// each rounded up to a power of two.
+func wireSlots(latency, credits int) (flits, returns int) {
 	if latency < 1 {
 		panic("engine: link latency must be >= 1")
 	}
 	if credits < 1 {
 		panic("engine: link credits must be >= 1")
 	}
-	var noop int64
-	l := &Link{
-		name:     name,
-		latency:  int64(latency),
-		credits:  credits,
-		capacity: credits,
+	pow2 := func(n int) int { return 1 << bits.Len(uint(n-1)) }
+	return pow2(min(latency+1, credits)), pow2(min(latency, credits))
+}
+
+// NewLink creates a standalone link with the given latency (>= 1) and
+// initial credit count (the capacity of the receiver's buffer).
+func NewLink(name string, latency, credits int) *Link {
+	nf, nc := wireSlots(latency, credits)
+	l := new(Link)
+	l.init(name, latency, credits, make([]timed[flit.Ref], nf), make([]timed[int], nc))
+	return l
+}
+
+// init sets up l in place over the given ring storage.
+func (l *Link) init(name string, latency, credits int, flits []timed[flit.Ref], returns []timed[int]) {
+	*l = Link{
+		headAt:   noWake,
+		creditAt: noWake,
 		lastSend: -1,
 		lastTake: -1,
-		activity: &noop,
+		latency:  int64(latency),
+		credits:  credits,
+		inflight: ring[flit.Ref]{buf: flits},
+		creditsQ: ring[int]{buf: returns},
 		recv:     -1,
+		name:     name,
+		capacity: credits,
 	}
-	// Credit discipline bounds both rings at the credit capacity, so size
-	// them up front instead of growing through the first busy worms.
-	size := 4
-	for size < credits {
-		size *= 2
-	}
-	l.inflight.buf = make([]timed[flit.Ref], size)
-	l.creditsQ.buf = make([]timed[int], size)
-	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -132,9 +162,16 @@ func (l *Link) Carried() int64 { return l.carried }
 // InFlight returns the number of flits currently on the wire.
 func (l *Link) InFlight() int { return l.inflight.len() }
 
-func (l *Link) drainCredits(now int64) {
-	for l.creditsQ.len() > 0 && l.creditsQ.front().at <= now {
-		l.credits += l.creditsQ.pop().v
+// fold moves every credit return due by now into the sender's count. The
+// overflow check runs here, the only place credits are regained.
+func (l *Link) fold(now int64) {
+	q := &l.creditsQ
+	for q.len() > 0 && q.front().at <= now {
+		l.credits += q.pop().v
+	}
+	l.creditAt = noWake
+	if q.len() > 0 {
+		l.creditAt = q.front().at
 	}
 	if l.credits > l.capacity && l.inv != nil {
 		l.inv.Violate(now, "credit-overflow",
@@ -147,9 +184,13 @@ func (l *Link) drainCredits(now int64) {
 // not stuck or (at a worm boundary) failed, a credit is available, and the
 // per-cycle bandwidth is unused. A failed link still grants the remaining
 // flits of a worm whose head already crossed — failure lands at worm
-// boundaries so flit conservation holds.
+// boundaries so flit conservation holds. Senders use TrySend; CanSend is
+// the query for senders that must know every link grants before moving any
+// flit (lock-step replication).
 func (l *Link) CanSend(now int64) bool {
-	l.drainCredits(now)
+	if l.creditAt <= now {
+		l.fold(now)
+	}
 	if now < l.stuckUntil {
 		return false
 	}
@@ -159,33 +200,35 @@ func (l *Link) CanSend(now int64) bool {
 	return l.credits > 0 && l.lastSend < now
 }
 
-// Credits returns the sender-visible credit count.
-func (l *Link) Credits(now int64) int {
-	l.drainCredits(now)
-	return l.credits
-}
-
-// Send pushes one flit onto the wire; it arrives at now+latency. It panics
-// if called without CanSend — senders must check first.
-func (l *Link) Send(now int64, r flit.Ref) {
+// TrySend pushes flit r onto the wire if CanSend grants it and reports
+// whether it did; the flit arrives at now+latency. A refused send leaves
+// the wire, the credit count and the conservation tracking untouched.
+func (l *Link) TrySend(now int64, r flit.Ref) bool {
 	if !l.CanSend(now) {
-		panic(fmt.Sprintf("engine: link %s: Send without credit/bandwidth at cycle %d", l.name, now))
+		return false
 	}
 	l.checkOrder(now, r)
 	l.credits--
 	l.lastSend = now
 	l.midWorm = !r.Tail()
-	if l.inflight.len() == 0 && l.sim != nil {
-		l.sim.busyLinks++
+	at := now + l.latency
+	if l.inflight.len() == 0 {
+		l.headAt = at
+		if l.arrWord != nil {
+			*l.arrWord |= 1 << l.arrShift
+		}
+		if l.sim != nil {
+			l.sim.busyLinks++
+		}
 	}
-	l.inflight.push(timed[flit.Ref]{v: r, at: now + l.latency})
-	if l.arrWord != nil {
-		*l.arrWord |= 1 << l.arrShift
+	l.inflight.push(timed[flit.Ref]{v: r, at: at})
+	if s := l.sim; s != nil {
+		s.activity++
+		if l.recv >= 0 {
+			s.noteSend(l.recv, at)
+		}
 	}
-	*l.activity++
-	if l.recv >= 0 {
-		l.sim.noteSend(l.recv, now+l.latency)
-	}
+	return true
 }
 
 // checkOrder enforces per-link flit conservation: a worm's flits cross a
@@ -216,58 +259,66 @@ func (l *Link) checkOrder(now int64, r flit.Ref) {
 	}
 }
 
-// Arrived returns the oldest flit whose arrival time has passed, without
-// consuming it. The second result is false if nothing has arrived or the
-// receiver already took a flit this cycle.
-func (l *Link) Arrived(now int64) (flit.Ref, bool) {
-	if l.lastTake >= now || l.inflight.len() == 0 || l.inflight.front().at > now {
+// Take consumes the oldest flit on the wire if it has arrived by now and
+// the receiver has not already taken one this cycle. The receiver is
+// responsible for storing it (credit discipline guarantees space) and for
+// returning a credit once the space frees. Taking the last flit off the
+// wire clears the bound arrival bit.
+func (l *Link) Take(now int64) (flit.Ref, bool) {
+	if l.headAt > now || l.lastTake >= now {
 		return flit.Ref{}, false
 	}
-	return l.inflight.front().v, true
-}
-
-// TakeArrived consumes the flit returned by Arrived. The receiver is
-// responsible for storing it (credit discipline guarantees space) and for
-// returning a credit once the space frees.
-func (l *Link) TakeArrived(now int64) flit.Ref {
-	r, ok := l.Arrived(now)
-	if !ok {
-		panic(fmt.Sprintf("engine: link %s: TakeArrived with nothing arrived at cycle %d", l.name, now))
-	}
-	l.inflight.pop()
+	r := l.inflight.pop().v
 	if l.inflight.len() == 0 {
+		l.headAt = noWake
 		if l.sim != nil {
 			l.sim.busyLinks--
 		}
 		if l.arrWord != nil {
 			*l.arrWord &^= 1 << l.arrShift
 		}
+	} else {
+		l.headAt = l.inflight.front().at
 	}
 	l.lastTake = now
 	l.carried++
-	return r
+	return r, true
 }
 
 // ReturnCredit notifies the sender (after the link latency) that n slots of
-// the receiver's buffer have been freed.
+// the receiver's buffer have been freed. Returns already due are folded into
+// the sender's count first, and a return due the same cycle as the last
+// pending one merges with it, so the queue holds one entry per cycle of the
+// reverse wire.
 func (l *Link) ReturnCredit(now int64, n int) {
 	if n <= 0 {
 		panic("engine: ReturnCredit with non-positive n")
 	}
-	l.creditsQ.push(timed[int]{v: n, at: now + l.latency})
+	if l.creditAt <= now {
+		l.fold(now)
+	}
+	at := now + l.latency
+	q := &l.creditsQ
+	if k := q.len(); k > 0 {
+		if last := q.at(k - 1); last.at == at {
+			last.v += n
+			return
+		}
+	} else {
+		l.creditAt = at
+	}
+	q.push(timed[int]{v: n, at: at})
 }
 
 // Quiesced reports whether no flits are on the wire.
 func (l *Link) Quiesced() bool { return l.inflight.len() == 0 }
 
-func (l *Link) bindActivity(counter *int64) { l.activity = counter }
-
 // BindArrival registers bit of *word as the receiver's arrival flag for this
-// link: Send sets it and TakeArrived clears it once the wire is empty, so
-// the bit is set whenever a flit is on the wire (possibly not yet arrived).
-// A receiver scans only the ports whose bits are set instead of polling
-// every input link each cycle. The flag is derived from the wire and is
-// never serialized; DecodeState re-derives it.
+// link: TrySend sets it and Take clears it once the wire is empty, so the
+// bit is set whenever a flit is on the wire (possibly not yet arrived). A
+// receiver scans only the ports whose bits are set instead of polling every
+// input link each cycle. The flag is derived from the wire and is never
+// serialized; DecodeState re-derives it.
 func (l *Link) BindArrival(word *uint64, bit int) {
 	if bit < 0 || bit > 63 {
 		panic(fmt.Sprintf("engine: link %s: arrival bit %d outside a 64-bit word", l.name, bit))
@@ -288,9 +339,6 @@ func (l *Link) syncArrival() {
 		*l.arrWord &^= 1 << l.arrShift
 	}
 }
-
-// Capacity returns the receiver buffer size the link was created with.
-func (l *Link) Capacity() int { return l.capacity }
 
 // Fail marks the link permanently dead at worm granularity (LinkDown fault):
 // a worm mid-transfer finishes, after which CanSend refuses new worms.

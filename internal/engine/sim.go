@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+
+	"mdworm/internal/flit"
 )
 
 // Kernel names the scheduling discipline compiled into this engine, for
@@ -49,14 +51,15 @@ func (e *DeadlockError) Error() string {
 		e.Limit, e.Cycle, strings.Join(e.Stuck, ", "))
 }
 
-// noWake marks a component with no pending wake event.
+// noWake marks an absent cycle: no wake event queued for a component, no
+// flit or credit return pending on a link.
 const noWake = int64(math.MaxInt64)
 
 // compEntry tracks one registered component plus its scheduling state. A
 // component with declared event sources (input links via DeclareInputs, or
 // a timetable via DeclareEventDriven) may be put to sleep — skipped by Step
 // and excluded from clock-jump decisions — once it is quiesced and nothing
-// has arrived for it; a queued wake event, a Send on an input link, or an
+// has arrived for it; a queued wake event, a send on an input link, or an
 // explicit Wake re-arms it. Components that never declared event sources
 // are stepped every cycle, exactly like the pre-event-kernel engine, so
 // ad-hoc harnesses keep their semantics.
@@ -98,9 +101,11 @@ type Simulation struct {
 	evq        eventQueue
 
 	links []*Link
-	// linkSlab backs Simulation-created links in contiguous chunks so a
-	// fabric's link state is cache-adjacent instead of heap-scattered.
-	linkSlab []Link
+	// linkSlab, flitSlab and creditSlab back Simulation-created links and
+	// their two rings in contiguous chunks (see NewLink).
+	linkSlab   []Link
+	flitSlab   []timed[flit.Ref]
+	creditSlab []timed[int]
 	// busyLinks counts links with at least one flit on the wire, so
 	// quiescence and jump decisions are O(1) instead of a fabric scan.
 	busyLinks    int
@@ -140,7 +145,7 @@ func (s *Simulation) AddComponent(c Component) {
 
 // DeclareInputs tells the scheduler which links feed component c, making c
 // eligible for sleeping: while c is quiesced and none of these links holds
-// an arrived flit, Step does not call c; a Send on any declared link queues
+// an arrived flit, Step does not call c; a send on any declared link queues
 // a wake event for the flit's arrival cycle. Callers whose components
 // receive stimulus outside the link fabric (message submission, barrier
 // drivers) must pair this with Wake.
@@ -225,7 +230,7 @@ func (s *Simulation) scheduleWake(i int32, at int64) {
 	s.evq.push(at, i)
 }
 
-// noteSend is the link-delivery event source: a Send toward a sleeping
+// noteSend is the link-delivery event source: a send toward a sleeping
 // receiver queues its wake for the arrival cycle. Awake receivers need
 // nothing — they will see the arrival when they step.
 func (s *Simulation) noteSend(recv int32, arriveAt int64) {
@@ -236,19 +241,27 @@ func (s *Simulation) noteSend(recv int32, arriveAt int64) {
 
 // NewLink creates a link registered with this simulation so that flit
 // movement feeds the progress watchdog and the busy-link census. Link
-// structs are carved from contiguous slabs.
+// structs and their rings are carved from per-simulation slabs, so a
+// fabric's link state is cache-adjacent instead of heap-scattered.
 func (s *Simulation) NewLink(name string, latency, credits int) *Link {
-	if len(s.linkSlab) == 0 {
-		s.linkSlab = make([]Link, 64)
-	}
-	l := &s.linkSlab[0]
-	s.linkSlab = s.linkSlab[1:]
-	*l = *NewLink(name, latency, credits)
-	l.bindActivity(&s.activity)
+	nf, nc := wireSlots(latency, credits)
+	l := &carve(&s.linkSlab, 1)[0]
+	l.init(name, latency, credits, carve(&s.flitSlab, nf), carve(&s.creditSlab, nc))
 	l.sim = s
 	l.inv = s.inv
 	s.links = append(s.links, l)
 	return l
+}
+
+// carve cuts n elements off the front of *slab, refilling it with room for
+// 64 such cuts when it runs short.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, 64*n)
+	}
+	cut := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return cut
 }
 
 // Links returns all registered links.
@@ -329,10 +342,7 @@ func (s *Simulation) maybeSleep(i int, e *compEntry) {
 	}
 	wakeAt := noWake
 	for _, l := range e.inputs {
-		if l.inflight.len() == 0 {
-			continue
-		}
-		at := l.inflight.front().at
+		at := l.headAt
 		if at <= s.Now {
 			return // arrived but unconsumed: stay awake
 		}

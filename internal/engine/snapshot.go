@@ -25,11 +25,6 @@ func (g *IDGen) State() uint64 { return g.n }
 // SetState restores the identifier counter.
 func (g *IDGen) SetState(n uint64) { g.n = n }
 
-// at returns the i-th queued element (0 = oldest) without consuming it.
-func (r *ring[T]) at(i int) *timed[T] {
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
 // CollectState adds every worm referenced by the link's queues to the
 // checkpoint object graph.
 func (l *Link) CollectState(g *ckpt.Graph) {
@@ -67,8 +62,10 @@ func (l *Link) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 
 // DecodeState restores the link's mutable state over a freshly constructed
 // link (same name/latency/capacity). Malformed input sets the decoder error.
+// A queue longer than the link's ring (a blob holding returns the sender
+// had not yet folded) grows the ring; the cached due cycles are re-derived.
 func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
-	l.inflight = ring[flit.Ref]{}
+	l.inflight.reset()
 	nf := d.Count(24)
 	for i := 0; i < nf && d.Err() == nil; i++ {
 		w := g.WormAt(d, d.U64())
@@ -83,7 +80,7 @@ func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 		l.inflight.push(timed[flit.Ref]{v: flit.Ref{W: w, Idx: idx}, at: at})
 	}
-	l.creditsQ = ring[int]{}
+	l.creditsQ.reset()
 	nc := d.Count(16)
 	for i := 0; i < nc && d.Err() == nil; i++ {
 		v := d.Int()
@@ -100,11 +97,23 @@ func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	l.expectWorm = g.WormAt(d, d.U64())
 	l.expectIdx = d.Int()
 	l.syncArrival()
+	l.syncDue()
 	if d.Err() != nil {
 		return
 	}
 	if l.credits < 0 || l.credits > l.capacity {
 		d.Fail("link %s: %d credits outside [0,%d]", l.name, l.credits, l.capacity)
+	}
+}
+
+// syncDue re-derives the cached due cycles from the fronts of the rings.
+func (l *Link) syncDue() {
+	l.headAt, l.creditAt = noWake, noWake
+	if l.inflight.len() > 0 {
+		l.headAt = l.inflight.front().at
+	}
+	if l.creditsQ.len() > 0 {
+		l.creditAt = l.creditsQ.front().at
 	}
 }
 

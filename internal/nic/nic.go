@@ -174,10 +174,10 @@ func (nc *NIC) stepEject(now int64) {
 	if nc.eject == nil {
 		return
 	}
-	if _, ok := nc.eject.Arrived(now); !ok {
+	r, ok := nc.eject.Take(now)
+	if !ok {
 		return
 	}
-	r := nc.eject.TakeArrived(now)
 	// The NIC consumes at link rate; the buffer slot frees immediately.
 	nc.eject.ReturnCredit(now, 1)
 	nc.stats.FlitsEjected++
@@ -301,10 +301,9 @@ func (nc *NIC) stepInject(now int64) {
 				Detail: fmt.Sprintf("dests=%v len=%d", m.Dests, m.Len())})
 		}
 	}
-	if nc.inject == nil || !nc.inject.CanSend(now) {
+	if nc.inject == nil || !nc.inject.TrySend(now, flit.Ref{W: nc.curWorm, Idx: nc.curIdx}) {
 		return
 	}
-	nc.inject.Send(now, flit.Ref{W: nc.curWorm, Idx: nc.curIdx})
 	nc.curIdx++
 	nc.stats.FlitsInjected++
 	if nc.curIdx == nc.curWorm.Len() {

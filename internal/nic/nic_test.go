@@ -29,8 +29,7 @@ type wire struct {
 func (w *wire) Name() string   { return "wire" }
 func (w *wire) Quiesced() bool { return true }
 func (w *wire) Step(now int64) {
-	if _, ok := w.link.Arrived(now); ok {
-		r := w.link.TakeArrived(now)
+	if r, ok := w.link.Take(now); ok {
 		w.link.ReturnCredit(now, 1)
 		w.flits = append(w.flits, r)
 		w.times = append(w.times, now)
@@ -142,10 +141,9 @@ func (e *env) feedWorm(t *testing.T, m *flit.Message) {
 	t.Helper()
 	w := &flit.Worm{ID: e.ids.Next(), Msg: m, Dests: bitset.FromSlice(16, []int{3})}
 	for i := 0; i < w.Len(); i++ {
-		for !e.eject.CanSend(e.sim.Now) {
+		for !e.eject.TrySend(e.sim.Now, flit.Ref{W: w, Idx: i}) {
 			e.sim.Step()
 		}
-		e.eject.Send(e.sim.Now, flit.Ref{W: w, Idx: i})
 		e.sim.Step()
 	}
 }

@@ -236,7 +236,7 @@ type Switch struct {
 	// derived state: a bit may be stale — its visit is a no-op and clears
 	// it — but a port whose loop body could act always has its bit set.
 	// DecodeState rebuilds them; they are never serialized.
-	arrivals uint64 // input links with flits on the wire (Link.Send sets, TakeArrived clears)
+	arrivals uint64 // input links with flits on the wire (Link.TrySend sets, Take clears)
 	activeIn uint64 // inputs that are not idle (acceptArrivals sets, stepInputs clears)
 	drainOut uint64 // outputs whose FIFO holds flits (emit sets, stepOutputsDrain clears)
 	serveOut uint64 // outputs serving or queueing branches (admit sets, stepOutputsServe clears)
@@ -402,8 +402,8 @@ func (s *Switch) stepOutputsDrain(now int64) {
 		o := bits.TrailingZeros64(m)
 		st := &s.out[o]
 		if out := s.ports[o].Out; st.fifo.Len() != 0 && out != nil {
-			if out.CanSend(now) {
-				out.Send(now, st.fifo.Pop())
+			if out.TrySend(now, st.fifo.Front()) {
+				st.fifo.Pop()
 				s.stats.FlitsOut++
 			} else if out.Dead() && !out.MidWorm() && st.fifo.Front().Head() {
 				// The head worm never started transmission and never will;
@@ -930,10 +930,10 @@ func (s *Switch) acceptArrivals(now int64) {
 	for m := s.arrivals; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		link := s.ports[i].In
-		if _, ok := link.Arrived(now); !ok {
+		r, ok := link.Take(now)
+		if !ok {
 			continue
 		}
-		r := link.TakeArrived(now)
 		if s.in[i].q.Len() >= s.cfg.InFIFOFlits {
 			panic(fmt.Sprintf("%s: input %d FIFO overflow (credit protocol violated)", s.Name(), i))
 		}

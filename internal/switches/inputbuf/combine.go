@@ -90,8 +90,7 @@ func (s *Switch) drainTokens(now int64) {
 	kept := s.pendingTok[:0]
 	for _, pt := range s.pendingTok {
 		out := s.ports[pt.port].Out
-		if s.out[pt.port].bound == nil && out != nil && out.CanSend(now) {
-			out.Send(now, flit.Ref{W: pt.worm, Idx: 0})
+		if s.out[pt.port].bound == nil && out != nil && out.TrySend(now, flit.Ref{W: pt.worm, Idx: 0}) {
 			s.stats.TokensEmitted++
 			continue
 		}

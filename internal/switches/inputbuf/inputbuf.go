@@ -148,7 +148,7 @@ type Switch struct {
 	// cleared — but never miss a port whose loop body could act; boundOut
 	// and reqOut are exact. DecodeState rebuilds them; they are never
 	// serialized.
-	arrivals uint64 // input links with flits on the wire (Link.Send sets, TakeArrived clears)
+	arrivals uint64 // input links with flits on the wire (Link.TrySend sets, Take clears)
 	activeIn uint64 // inputs holding worms (acceptArrivals sets, stepInputs clears)
 	boundOut uint64 // outputs bound to a branch (arbitrate sets, unbind clears)
 	reqOut   uint64 // outputs with a nonzero reqBits word (request sets, withdraw clears)
@@ -311,10 +311,10 @@ func (s *Switch) serveOutputs(now int64) {
 		b := s.out[o].bound
 		in := &s.in[b.in]
 		head := &in.queue[0]
-		if b.sent >= head.got || s.ports[o].Out == nil || !s.ports[o].Out.CanSend(now) {
+		out := s.ports[o].Out
+		if b.sent >= head.got || out == nil || !out.TrySend(now, flit.Ref{W: b.child, Idx: b.sent}) {
 			continue
 		}
-		s.ports[o].Out.Send(now, flit.Ref{W: b.child, Idx: b.sent})
 		b.sent++
 		in.movedAt = now
 		s.stats.FlitsOut++
@@ -355,7 +355,9 @@ func (s *Switch) serveOutputsSync(now int64) {
 			if b.done {
 				continue
 			}
-			s.ports[b.out].Out.Send(now, flit.Ref{W: b.child, Idx: b.sent})
+			if !s.ports[b.out].Out.TrySend(now, flit.Ref{W: b.child, Idx: b.sent}) {
+				panic(fmt.Sprintf("%s: output %d refused a lock-step flit after CanSend granted it", s.Name(), b.out))
+			}
 			b.sent++
 			s.stats.FlitsOut++
 			if b.sent == head.w.Len() {
@@ -622,10 +624,10 @@ func (s *Switch) acceptArrivals(now int64) {
 	for m := s.arrivals; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		link := s.ports[i].In
-		if _, ok := link.Arrived(now); !ok {
+		r, ok := link.Take(now)
+		if !ok {
 			continue
 		}
-		r := link.TakeArrived(now)
 		in := &s.in[i]
 		if in.occupancy >= s.cfg.BufFlits {
 			panic(fmt.Sprintf("%s: input %d buffer overflow (credit protocol violated)", s.Name(), i))

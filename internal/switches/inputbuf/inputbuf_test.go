@@ -33,10 +33,9 @@ type driver struct {
 func (d *driver) Name() string   { return "driver" }
 func (d *driver) Quiesced() bool { return d.worm == nil || d.next >= d.worm.Len() }
 func (d *driver) Step(now int64) {
-	if d.Quiesced() || now < d.from || !d.link.CanSend(now) {
+	if d.Quiesced() || now < d.from || !d.link.TrySend(now, flit.Ref{W: d.worm, Idx: d.next}) {
 		return
 	}
-	d.link.Send(now, flit.Ref{W: d.worm, Idx: d.next})
 	d.next++
 }
 
@@ -53,10 +52,10 @@ func (s *sink) Step(now int64) {
 	if now < s.holdOff {
 		return
 	}
-	if _, ok := s.link.Arrived(now); !ok {
+	r, ok := s.link.Take(now)
+	if !ok {
 		return
 	}
-	r := s.link.TakeArrived(now)
 	s.link.ReturnCredit(now, 1)
 	s.got = append(s.got, r)
 	if r.Tail() {

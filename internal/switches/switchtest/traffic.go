@@ -220,10 +220,9 @@ type source struct {
 func (s *source) Name() string   { return "source" }
 func (s *source) Quiesced() bool { return len(s.queue) == 0 }
 func (s *source) Step(now int64) {
-	if len(s.queue) == 0 || !s.link.CanSend(now) {
+	if len(s.queue) == 0 || !s.link.TrySend(now, flit.Ref{W: s.queue[0], Idx: s.next}) {
 		return
 	}
-	s.link.Send(now, flit.Ref{W: s.queue[0], Idx: s.next})
 	if s.next++; s.next == s.queue[0].Len() {
 		s.queue = s.queue[1:]
 		s.next = 0
@@ -249,10 +248,10 @@ func (s *sink) Step(now int64) {
 		s.stalledUntil = now + 1 + int64(s.rng.Intn(40))
 		return
 	}
-	if _, ok := s.link.Arrived(now); !ok {
+	r, ok := s.link.Take(now)
+	if !ok {
 		return
 	}
-	r := s.link.TakeArrived(now)
 	s.link.ReturnCredit(now, 1)
 	if r.W.Msg.Class == flit.ClassBarrier {
 		s.tr.tokenOut(s.port)
