@@ -189,12 +189,12 @@ func printTree(net *topology.Network, router *routing.Router, src int, dests []i
 	}
 	swID, _ := net.ProcAttach(src)
 	stack := []hop{{sw: swID, dests: bitset.FromSlice(net.N, dests), ascending: true, depth: 0}}
+	var dec routing.Decision
 	for len(stack) > 0 {
 		h := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		sw := net.Switches[h.sw]
-		dec, err := router.Route(sw, h.dests, h.ascending)
-		if err != nil {
+		if err := router.Route(sw, h.dests, h.ascending, &dec); err != nil {
 			fail(err)
 		}
 		indent := strings.Repeat("  ", h.depth)

@@ -260,7 +260,7 @@ func TestValidateTreeRandomSets(t *testing.T) {
 	rng := engine.NewRNG(4)
 	for trial := 0; trial < 200; trial++ {
 		d := rng.Intn(63) + 1
-		dests := rng.Sample(64, d, map[int]bool{0: true})
+		dests := rng.Sample(64, d, 0, new([]int))
 		if _, err := ValidateTree(0, dests); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}

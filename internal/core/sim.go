@@ -30,6 +30,7 @@ type Simulator struct {
 	col    stats.Collector
 	ids    engine.IDGen
 	ops    flit.OpArena
+	fac    *factory // built once; every NIC and inject shares it
 
 	// ports holds each switch's per-port link pair; the fault driver uses
 	// it to fail or stall specific links at their scheduled cycles.
@@ -130,7 +131,7 @@ func (s *Simulator) switchCredits() int {
 func (s *Simulator) build() {
 	cfg := &s.cfg
 	rootRNG := engine.NewRNG(cfg.Seed ^ 0xabcdef)
-	fac := &factory{cfg: cfg, net: s.net, ids: &s.ids}
+	s.fac = &factory{cfg: cfg, net: s.net, ids: &s.ids}
 
 	// Per-switch port IO, filled as links are created.
 	ports := make([][]switches.PortIO, len(s.net.Switches))
@@ -232,7 +233,7 @@ func (s *Simulator) build() {
 	// out-of-band message injection.
 	s.nics = make([]*nic.NIC, s.net.N)
 	for p := 0; p < s.net.N; p++ {
-		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, s.sim, fac, s.onDelivered)
+		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, s.sim, s.fac, s.onDelivered)
 		n.SetOnDrop(s.onWormDrop)
 		s.nics[p] = n
 		s.sim.AddComponent(n)
@@ -472,11 +473,10 @@ func (s *Simulator) inject(src int, dests []int, multicast bool, payload int) (*
 		class = flit.ClassMulticast
 	}
 	op := s.ops.New(s.ids.Next(), class, src, len(dests), now)
-	fac := &factory{cfg: &s.cfg, net: s.net, ids: &s.ids}
 	var msgs []*flit.Message
 	if multicast {
 		var err error
-		msgs, err = collective.Plan(s.cfg.Scheme, s.net, fac, src, dests, payload, op, now)
+		msgs, err = collective.Plan(s.cfg.Scheme, s.net, s.fac, src, dests, payload, op, now)
 		if err != nil {
 			return nil, err
 		}
@@ -485,7 +485,7 @@ func (s *Simulator) inject(src int, dests []int, multicast bool, payload int) (*
 			return nil, fmt.Errorf("core: unicast op needs exactly one destination")
 		}
 		op.Phases = 1
-		msgs = []*flit.Message{fac.NewMessage(src, dests, class, payload, op, nil, now)}
+		msgs = []*flit.Message{s.fac.NewMessage(src, dests, class, payload, op, nil, now)}
 	}
 	s.nics[src].Submit(msgs...)
 	s.outstanding++

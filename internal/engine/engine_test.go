@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,20 +68,63 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
+// sampleWithMap is the map-exclusion Sample that the scratch-pool version
+// replaced, kept as the reference its draws must match.
+func sampleWithMap(r *RNG, n, k int, excl map[int]bool) []int {
+	pool := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if !excl[i] {
+			pool = append(pool, i)
+		}
+	}
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
+		out[i] = pool[i]
+	}
+	return out
+}
+
 func TestRNGSample(t *testing.T) {
 	r := NewRNG(11)
+	var pool []int
 	for trial := 0; trial < 100; trial++ {
-		excl := map[int]bool{3: true, 7: true}
-		s := r.Sample(20, 5, excl)
+		s := r.Sample(20, 5, 3, &pool)
 		if len(s) != 5 {
 			t.Fatalf("sample size %d", len(s))
 		}
 		seen := map[int]bool{}
 		for _, v := range s {
-			if v < 0 || v >= 20 || excl[v] || seen[v] {
+			if v < 0 || v >= 20 || v == 3 || seen[v] {
 				t.Fatalf("bad sample %v", s)
 			}
 			seen[v] = true
+		}
+	}
+
+	// Draw for draw, the scratch-pool Sample matches the map-based
+	// reference over random sizes and exclusions (including none, and one
+	// outside the population), leaving both streams at the same position.
+	params := NewRNG(5)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + params.Intn(80)
+		excl := params.Intn(n+2) - 1
+		avail := n
+		if excl >= 0 && excl < n {
+			avail--
+		}
+		if avail == 0 {
+			continue
+		}
+		k := 1 + params.Intn(avail)
+		seed := params.Uint64()
+		got := NewRNG(seed)
+		want := NewRNG(seed)
+		a := got.Sample(n, k, excl, &pool)
+		b := sampleWithMap(want, n, k, map[int]bool{excl: true})
+		if !slices.Equal(a, b) || got.State() != want.State() {
+			t.Fatalf("n=%d k=%d excl=%d: Sample %v, reference %v", n, k, excl, a, b)
 		}
 	}
 }

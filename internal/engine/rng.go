@@ -70,25 +70,32 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Sample returns k distinct uniform values from [0, n) excluding the
-// members of excl. It panics if fewer than k values are available.
-func (r *RNG) Sample(n, k int, excl map[int]bool) []int {
-	avail := n - len(excl)
+// Sample returns k distinct uniform values from [0, n) other than excl
+// (-1 excludes nothing). pool is caller-owned scratch: Sample refills it
+// with the candidate population on every call and keeps its storage, so a
+// caller that draws repeatedly allocates only the returned slice. It panics
+// if fewer than k values are available.
+func (r *RNG) Sample(n, k, excl int, pool *[]int) []int {
+	avail := n
+	if excl >= 0 && excl < n {
+		avail--
+	}
 	if k > avail {
 		panic("engine: Sample k exceeds available population")
 	}
 	// Partial Fisher-Yates over the allowed population.
-	pool := make([]int, 0, avail)
+	p := (*pool)[:0]
 	for i := 0; i < n; i++ {
-		if !excl[i] {
-			pool = append(pool, i)
+		if i != excl {
+			p = append(p, i)
 		}
 	}
+	*pool = p
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
-		j := i + r.Intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-		out[i] = pool[i]
+		j := i + r.Intn(len(p)-i)
+		p[i], p[j] = p[j], p[i]
+		out[i] = p[i]
 	}
 	return out
 }

@@ -266,10 +266,11 @@ func singleOpPoint(cfg core.Config, degree int, o Options, tag string) Point {
 		}
 		// Reuse the simulator across draws; the network is idle between ops.
 		rng := newDrawRNG(cfg.Seed)
+		var pool []int
 		var col pointCollector
 		for i := 0; i < draws; i++ {
 			src := rng.Intn(sim.Net().N)
-			dests := rng.Sample(sim.Net().N, degree, map[int]bool{src: true})
+			dests := rng.Sample(sim.Net().N, degree, src, &pool)
 			lat, op, err := sim.RunOp(src, dests, true, cfg.Traffic.McastPayloadFlits, 2_000_000)
 			if err != nil {
 				o.point(PointEvent{Tag: tag, X: float64(degree), Cycles: sim.Now(), Err: err})

@@ -193,12 +193,11 @@ func (o *Op) MeanLatency() float64 {
 type Worm struct {
 	ID  uint64
 	Msg *Message
-	// Dests is the set of destinations this branch must still cover.
+	// Dests is the set of destinations this branch must still cover. The
+	// set is immutable once a worm carries it: a child worm whose branch
+	// covers its parent's whole set shares the parent's set rather than a
+	// copy, so mutating it would change every worm that shares it.
 	Dests bitset.Set
-	// GoingUp records the BMIN routing phase: true while the worm is
-	// ascending toward the least-common-ancestor stage. Once a worm turns
-	// downward it never ascends again (up*/down* conformance).
-	GoingUp bool
 	// Hops counts switch traversals of this branch (root worm inherits 0).
 	Hops int
 
@@ -206,6 +205,12 @@ type Worm struct {
 	// the per-flit hot path of every switch model, and reading it from the
 	// worm itself spares the Message pointer chase.
 	cachedLen int32
+	// GoingUp records the BMIN routing phase: true while the worm is
+	// ascending toward the least-common-ancestor stage. Once a worm turns
+	// downward it never ascends again (up*/down* conformance). It sits last
+	// so that it packs beside cachedLen: the struct is 64 bytes on 64-bit
+	// platforms, and WormArena sizes its chunks by that.
+	GoingUp bool
 }
 
 // Len returns the total flit count of the worm, header included.

@@ -7,6 +7,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/collective"
@@ -275,7 +276,7 @@ func (nc *NIC) stepInject(now int64) {
 			nc.overheadSpent = true
 		}
 		m := nc.sendQ[0]
-		nc.sendQ = nc.sendQ[1:]
+		nc.sendQ = slices.Delete(nc.sendQ, 0, 1)
 		nc.overheadSpent = false
 		dests := bitset.FromSlice(nc.n, m.Dests)
 		nc.curWorm = nc.arena.New()
@@ -325,9 +326,8 @@ func (nc *NIC) dropPending(now int64) {
 	for _, m := range nc.sendQ {
 		nc.dropMessage(m, now)
 	}
-	if len(nc.sendQ) > 0 {
-		nc.sendQ = nc.sendQ[:0]
-	}
+	clear(nc.sendQ)
+	nc.sendQ = nc.sendQ[:0]
 	nc.overheadSpent = false
 	nc.overheadLeft = 0
 }

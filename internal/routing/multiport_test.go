@@ -117,7 +117,7 @@ func TestMultiportCoverQuick(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		src := rng.Intn(net.N)
 		k := rng.Intn(20) + 1
-		dests := rng.Sample(net.N, k, map[int]bool{src: true})
+		dests := rng.Sample(net.N, k, src, new([]int))
 		cover, err := MultiportCover(net, src, dests)
 		if err != nil {
 			t.Fatal(err)

@@ -75,30 +75,47 @@ type Branch struct {
 // Decision is the complete branching plan for a worm at a switch. DownPorts
 // lists descending branches; UpDests is the residue that must continue
 // ascending through one of UpCandidates (all equivalent by construction).
+// A Decision is caller-owned scratch: Route refills it in place and reuses
+// its Down storage, so a switch routes every worm through one Decision.
 type Decision struct {
-	Down         []Branch
-	UpDests      bitset.Set // empty if the worm need not ascend
-	UpCandidates []int      // valid up ports, when UpDests is non-empty
+	Down    []Branch
+	UpDests bitset.Set // empty if the worm need not ascend
+	// UpCandidates lists the valid up ports when UpDests is non-empty. On
+	// a healthy switch it aliases the switch's read-only up-port list.
+	UpCandidates []int
 }
 
-// NumBranches returns the total branch count once an up port is chosen.
-func (d *Decision) NumBranches() int {
-	n := len(d.Down)
-	if !d.UpDests.Empty() {
-		n++
-	}
-	return n
+// Route fills dec with the branching plan for a worm with destination set
+// dests arriving at switch sw. Ascending reports whether the worm arrived
+// from below (on a down port, or injected by a processor); descending worms
+// must have all destinations within the switch's subtree.
+func (r *Router) Route(sw *topology.Switch, dests bitset.Set, ascending bool, dec *Decision) error {
+	_, err := r.RouteAvoid(sw, dests, ascending, nil, dec)
+	return err
 }
 
-// Route computes the branching plan for a worm with destination set dests
-// arriving at switch sw. Ascending reports whether the worm arrived from
-// below (on a down port, or injected by a processor); descending worms must
-// have all destinations within the switch's subtree.
-func (r *Router) Route(sw *topology.Switch, dests bitset.Set, ascending bool) (Decision, error) {
+// RouteAvoid fills dec with the branching plan like Route while steering
+// around dead output ports, as reported by the dead predicate (nil means
+// fully healthy and behaves exactly like Route). Destinations whose only
+// path runs through a dead port are returned for the caller to account as
+// dropped: on trees every inter-switch link is a bridge, so a dead down
+// port partitions its whole subtree, and a worm that must ascend but has
+// lost every up port covers what it can below and abandons the residue. The
+// error cases are those of Route (malformed requests), never mere
+// degradation.
+//
+// Each down branch's set is dests ∩ reach(port), computed word-wise without
+// materializing the in-switch subset. Only branches that split dests
+// allocate: a down branch whose port reaches every destination, an ascent
+// with no destination below, and an undivided ascent all carry dests
+// itself. The healthy path allocates nothing else.
+func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending bool, dead func(port int) bool, dec *Decision) (bitset.Set, error) {
+	dec.Down = dec.Down[:0]
+	dec.UpDests = bitset.Set{}
+	dec.UpCandidates = nil
 	if dests.Empty() {
-		return Decision{}, fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
+		return bitset.Set{}, fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
 	}
-	var dec Decision
 
 	// covered means no residue above this switch: dests ⊆ ReachAll. The
 	// word-wise subset test avoids materializing within/residue sets on the
@@ -106,100 +123,41 @@ func (r *Router) Route(sw *topology.Switch, dests bitset.Set, ascending bool) (D
 	// unicast below its LCA never is).
 	covered := dests.SubsetOf(sw.ReachAll())
 	if !ascending && !covered {
-		return Decision{}, fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
+		return bitset.Set{}, fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
 			sw.ID, dests.AndNot(sw.ReachAll()).Members())
 	}
-	within := dests
-	if !covered {
-		within = dests.And(sw.ReachAll())
-	}
-
-	coverDown := ascending && (r.ReplicateOnUpPath || covered) || !ascending
-	if coverDown {
-		for _, pn := range sw.DownPorts() {
-			if !within.Intersects(sw.Ports[pn].Reach) {
-				continue
-			}
-			dec.Down = append(dec.Down, Branch{Port: pn, Dests: within.And(sw.Ports[pn].Reach)})
-		}
-	}
-
-	switch {
-	case covered:
-		// Fully covered below; nothing ascends.
-	case r.ReplicateOnUpPath:
-		dec.UpDests = dests.AndNot(sw.ReachAll())
-	default:
-		// Ascend undivided; replication happens past the LCA stage.
-		dec.UpDests = dests.Clone()
-		dec.Down = nil
-	}
-
-	if !dec.UpDests.Empty() {
-		dec.UpCandidates = append(dec.UpCandidates, sw.UpPorts()...)
-		if len(dec.UpCandidates) == 0 {
-			return Decision{}, fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
-				sw.ID, dec.UpDests.Members())
-		}
-	}
-	return dec, nil
-}
-
-// RouteAvoid computes the branching plan like Route while steering around
-// dead output ports, as reported by the dead predicate (nil means fully
-// healthy and behaves exactly like Route). Destinations whose only path runs
-// through a dead port are returned in the second result for the caller to
-// account as dropped: on trees every inter-switch link is a bridge, so a
-// dead down port partitions its whole subtree, and a worm that must ascend
-// but has lost every up port covers what it can below and abandons the
-// residue. The error cases are those of Route (malformed requests), never
-// mere degradation.
-func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending bool, dead func(port int) bool) (Decision, bitset.Set, error) {
-	if dead == nil {
-		dec, err := r.Route(sw, dests, ascending)
-		return dec, bitset.Set{}, err
-	}
-	if dests.Empty() {
-		return Decision{}, bitset.Set{}, fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
-	}
-
-	covered := dests.SubsetOf(sw.ReachAll())
-	if !ascending && !covered {
-		return Decision{}, bitset.Set{}, fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
+	ups := sw.UpPorts()
+	if !covered && len(ups) == 0 {
+		return bitset.Set{}, fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
 			sw.ID, dests.AndNot(sw.ReachAll()).Members())
 	}
-	within := dests
-	var residue bitset.Set
-	if !covered {
-		within = dests.And(sw.ReachAll())
-		residue = dests.AndNot(sw.ReachAll())
-	}
 
-	needUp := !covered
-	if needUp && len(sw.UpPorts()) == 0 {
-		return Decision{}, bitset.Set{}, fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
-			sw.ID, residue.Members())
-	}
-	var upAlive []int
-	if needUp {
-		for _, pn := range sw.UpPorts() {
-			if !dead(pn) {
-				upAlive = append(upAlive, pn)
+	var dropped bitset.Set
+	if dead != nil {
+		dropped = bitset.New(r.Net.N)
+		if !covered {
+			var alive []int
+			for _, pn := range ups {
+				if !dead(pn) {
+					alive = append(alive, pn)
+				}
 			}
+			ups = alive
 		}
 	}
-	upSevered := needUp && len(upAlive) == 0
+	upSevered := !covered && len(ups) == 0
 
-	var dec Decision
-	dropped := bitset.New(r.Net.N)
-	coverDown := !ascending || !needUp || r.ReplicateOnUpPath || upSevered
-	if coverDown {
+	if !ascending || covered || r.ReplicateOnUpPath || upSevered {
 		for _, pn := range sw.DownPorts() {
-			if !within.Intersects(sw.Ports[pn].Reach) {
+			reach := sw.Ports[pn].Reach
+			if !dests.Intersects(reach) {
 				continue
 			}
-			sub := within.And(sw.Ports[pn].Reach)
-			if dead(pn) {
+			sub := dests
+			if !dests.SubsetOf(reach) {
+				sub = dests.And(reach)
+			}
+			if dead != nil && dead(pn) {
 				dropped.OrIn(sub)
 				continue
 			}
@@ -208,22 +166,22 @@ func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending boo
 	}
 
 	switch {
-	case !needUp:
+	case covered:
 		// Fully covered (or dropped) below; nothing ascends.
 	case upSevered:
 		// Every up port is dead: the residue is unreachable from here.
-		dropped.OrIn(residue)
-	case r.ReplicateOnUpPath:
-		dec.UpDests = residue
+		dropped.OrIn(dests.AndNot(sw.ReachAll()))
+	case r.ReplicateOnUpPath && dests.Intersects(sw.ReachAll()):
+		dec.UpDests = dests.AndNot(sw.ReachAll())
 	default:
-		// Ascend undivided; replication happens past the LCA stage.
-		dec.UpDests = dests.Clone()
-		dec.Down = nil
+		// Ascend undivided: nothing lies below, or replication happens
+		// past the LCA stage.
+		dec.UpDests = dests
 	}
 	if !dec.UpDests.Empty() {
-		dec.UpCandidates = upAlive
+		dec.UpCandidates = ups
 	}
-	return dec, dropped, nil
+	return dropped, nil
 }
 
 // PickUp chooses the up port for a decision according to the router policy.
@@ -261,6 +219,7 @@ func (r *Router) UnicastHops(src, dst int, msg *flit.Message) ([]int, error) {
 	dests.Add(dst)
 	swID, _ := r.Net.ProcAttach(src)
 	var hops []int
+	var dec Decision
 	ascending := true
 	for {
 		sw := r.Net.Switches[swID]
@@ -268,8 +227,7 @@ func (r *Router) UnicastHops(src, dst int, msg *flit.Message) ([]int, error) {
 		if len(hops) > 4*r.Net.Stages {
 			return nil, fmt.Errorf("routing: unicast %d->%d did not converge", src, dst)
 		}
-		dec, err := r.Route(sw, dests, ascending)
-		if err != nil {
+		if err := r.Route(sw, dests, ascending, &dec); err != nil {
 			return nil, err
 		}
 		if !dec.UpDests.Empty() {

@@ -49,7 +49,7 @@ func TestUnicastSelfRejected(t *testing.T) {
 func TestRouteEmptyDestsRejected(t *testing.T) {
 	r := newRouter(t, 4, 2, true)
 	sw := r.Net.Switches[0]
-	if _, err := r.Route(sw, bitset.New(r.Net.N), true); err == nil {
+	if err := r.Route(sw, bitset.New(r.Net.N), true, new(Decision)); err == nil {
 		t.Fatal("empty dest set accepted")
 	}
 }
@@ -58,7 +58,7 @@ func TestRouteDescendingUnreachableRejected(t *testing.T) {
 	r := newRouter(t, 4, 2, true)
 	sw := r.Net.SwitchAt(0, 0) // reaches procs 0..3
 	dests := bitset.FromSlice(r.Net.N, []int{9})
-	if _, err := r.Route(sw, dests, false); err == nil {
+	if err := r.Route(sw, dests, false, new(Decision)); err == nil {
 		t.Fatal("descending worm with unreachable dest accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestRoutePartition(t *testing.T) {
 		for trial := 0; trial < 500; trial++ {
 			sw := r.Net.Switches[rng.Intn(len(r.Net.Switches))]
 			k := rng.Intn(10) + 1
-			dests := bitset.FromSlice(r.Net.N, rng.Sample(r.Net.N, k, nil))
+			dests := bitset.FromSlice(r.Net.N, rng.Sample(r.Net.N, k, -1, new([]int)))
 			ascending := rng.Intn(2) == 0
 			if !ascending {
 				// Descending worms must stay within reach; clamp.
@@ -82,7 +82,8 @@ func TestRoutePartition(t *testing.T) {
 					continue
 				}
 			}
-			dec, err := r.Route(sw, dests, ascending)
+			var dec Decision
+			err := r.Route(sw, dests, ascending, &dec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +120,8 @@ func TestRouteLCAOnlyNoEarlyBranches(t *testing.T) {
 	r := newRouter(t, 4, 3, false)
 	sw := r.Net.SwitchAt(0, 0) // reaches 0..3
 	dests := bitset.FromSlice(r.Net.N, []int{1, 2, 40})
-	dec, err := r.Route(sw, dests, true)
+	var dec Decision
+	err := r.Route(sw, dests, true, &dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,8 @@ func TestRouteReplicateUpBranchesEarly(t *testing.T) {
 	r := newRouter(t, 4, 3, true)
 	sw := r.Net.SwitchAt(0, 0)
 	dests := bitset.FromSlice(r.Net.N, []int{1, 2, 40})
-	dec, err := r.Route(sw, dests, true)
+	var dec Decision
+	err := r.Route(sw, dests, true, &dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,8 @@ func TestRouteTurnaround(t *testing.T) {
 		r := newRouter(t, 4, 2, repUp)
 		sw := r.Net.SwitchAt(1, 0) // top stage, reaches all 16
 		dests := bitset.FromSlice(r.Net.N, []int{0, 5, 10, 15})
-		dec, err := r.Route(sw, dests, true)
+		var dec Decision
+		err := r.Route(sw, dests, true, &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +177,8 @@ func TestPickUpPolicies(t *testing.T) {
 	r := newRouter(t, 4, 3, true)
 	sw := r.Net.SwitchAt(0, 0)
 	dests := bitset.FromSlice(r.Net.N, []int{63})
-	dec, err := r.Route(sw, dests, true)
+	var dec Decision
+	err := r.Route(sw, dests, true, &dec)
 	if err != nil {
 		t.Fatal(err)
 	}

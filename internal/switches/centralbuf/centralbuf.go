@@ -32,6 +32,7 @@ package centralbuf
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
@@ -148,7 +149,7 @@ type inputState struct {
 	mode       inputMode
 	worm       *flit.Worm
 	decodeLeft int
-	plans      []switches.Planned
+	plans      []switches.Planned // the head worm's branches; storage reused across worms
 	pb         *packetBuf
 	bypassOut  int
 	waitSince  int64
@@ -178,6 +179,8 @@ type outputState struct {
 func (st *outputState) serving() bool { return st.mode == outCB || len(st.queue) != 0 }
 
 // packetBuf is one worm stored in (or streaming through) the central buffer.
+// Records are recycled through the switch's free list: nothing may read a
+// packet after retirePB, which drops every pointer the record holds.
 type packetBuf struct {
 	worm        *flit.Worm
 	total       int
@@ -185,7 +188,7 @@ type packetBuf struct {
 	reserved    int // chunks reserved but not yet allocated
 	chunksAlloc int
 	chunksFreed int
-	branches    []*cbBranch
+	branches    []cbBranch // stored inline; outputs hold pointers into it while the packet lives
 	multicast   bool
 	need        int // total chunks needed (multicast reservation target)
 	input       int
@@ -201,10 +204,8 @@ type cbBranch struct {
 
 func (pb *packetBuf) minRead() int {
 	m := pb.total
-	for _, b := range pb.branches {
-		if b.read < m {
-			m = b.read
-		}
+	for k := range pb.branches {
+		m = min(m, pb.branches[k].read)
 	}
 	return m
 }
@@ -230,6 +231,12 @@ type Switch struct {
 
 	in  []inputState
 	out []outputState
+
+	// Decode storage the switch owns: the routing decision every decode
+	// refills, and retired packet records awaiting reuse. Both are derived
+	// state, never serialized.
+	dec    routing.Decision
+	freePB []*packetBuf
 
 	// Port activity bitmaps (bit p = port p). Each per-cycle loop visits
 	// only the set bits of its bitmap, in ascending port order. They are
@@ -512,17 +519,16 @@ func (s *Switch) serveOutput(o int, now int64) {
 		out := s.ports[o].Out
 		for len(st.queue) > 0 {
 			b := st.queue[0]
+			st.queue = slices.Delete(st.queue, 0, 1)
 			if out != nil && out.Dead() {
 				// The branch can never be transmitted; account the
 				// drop and release its hold on the packet.
-				st.queue = st.queue[1:]
 				s.reportDrop(now, b.child, b.child.Dests)
 				b.read = b.pb.total
 				s.advanceFreeing(b.pb, now)
 				continue
 			}
 			st.cur = b
-			st.queue = st.queue[1:]
 			st.mode = outCB
 			break
 		}
@@ -537,11 +543,13 @@ func (s *Switch) serveOutput(o int, now int64) {
 	s.rdBudget--
 	s.emit(o, flit.Ref{W: b.child, Idx: b.read})
 	b.read++
-	s.advanceFreeing(b.pb, now)
-	if b.read == b.pb.total {
+	// The last read may retire the packet, so finish with b first.
+	pb := b.pb
+	if b.read == pb.total {
 		st.cur = nil
 		st.mode = outIdle
 	}
+	s.advanceFreeing(pb, now)
 }
 
 // advanceFreeing releases chunks every reader has fully consumed.
@@ -560,9 +568,11 @@ func (s *Switch) advanceFreeing(pb *packetBuf, now int64) {
 	}
 }
 
-// retirePB retires a fully-written, fully-read packet. The reference counts
-// must have reached zero exactly here; anything else is a model bug, reported
-// to the checker and repaired so the run can continue in lenient mode.
+// retirePB retires a fully-written, fully-read packet and recycles its
+// record. The reference counts must have reached zero exactly here; anything
+// else is a model bug, reported to the checker and repaired so the run can
+// continue in lenient mode. No input, output or reservation queue refers to
+// the packet any more, and its caller must not read it afterwards.
 func (s *Switch) retirePB(pb *packetBuf, now int64) {
 	if pb.chunksFreed != pb.chunksAlloc {
 		s.sim.Invariants().Violate(now, "cb-refcount",
@@ -583,6 +593,9 @@ func (s *Switch) retirePB(pb *packetBuf, now int64) {
 		pb.reserved = 0
 	}
 	s.livePB--
+	pb.worm = nil
+	clear(pb.branches)
+	s.freePB = append(s.freePB, pb)
 }
 
 // Shrink permanently removes n chunks of central-buffer capacity (the
@@ -642,13 +655,14 @@ func (s *Switch) accrueReservations(now int64) {
 				break
 			}
 			s.admit(head, now)
-			s.pendingRes[pool] = s.pendingRes[pool][1:]
+			s.pendingRes[pool] = slices.Delete(s.pendingRes[pool], 0, 1)
 		}
 	}
 }
 
 func (s *Switch) admit(pb *packetBuf, now int64) {
-	for _, b := range pb.branches {
+	for k := range pb.branches {
+		b := &pb.branches[k]
 		s.out[b.out].queue = append(s.out[b.out].queue, b)
 		s.serveOut |= 1 << uint(b.out)
 	}
@@ -770,7 +784,8 @@ func (s *Switch) decode(i int, now int64) {
 			return out != nil && out.Dead()
 		}
 	}
-	plans, dropped, err := switches.PlanBranches(s.router, s.node, in.worm, ascending, free, dead, s.rng, s.ids, &s.arena)
+	plans, dropped, err := switches.PlanBranches(in.plans[:0], &s.dec, s.router, s.node, in.worm, ascending,
+		free, dead, s.rng, s.ids, &s.arena)
 	if err != nil {
 		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
 	}
@@ -845,18 +860,28 @@ func (s *Switch) decode(i int, now int64) {
 	}
 }
 
+// newPacketBuf takes a record from the free list (or allocates one) and
+// clears every field a previous packet left behind.
 func (s *Switch) newPacketBuf(i int, multicast bool, pool int) *packetBuf {
 	in := &s.in[i]
-	pb := &packetBuf{
+	var pb *packetBuf
+	if n := len(s.freePB); n > 0 {
+		pb = s.freePB[n-1]
+		s.freePB[n-1] = nil
+		s.freePB = s.freePB[:n-1]
+	} else {
+		pb = new(packetBuf)
+	}
+	*pb = packetBuf{
 		worm:      in.worm,
 		total:     in.worm.Len(),
 		multicast: multicast,
 		input:     i,
 		pool:      pool,
+		branches:  pb.branches[:0],
 	}
-	pb.branches = make([]*cbBranch, len(in.plans))
-	for bi, p := range in.plans {
-		pb.branches[bi] = &cbBranch{pb: pb, child: p.Child, out: p.Port}
+	for _, p := range in.plans {
+		pb.branches = append(pb.branches, cbBranch{pb: pb, child: p.Child, out: p.Port})
 	}
 	return pb
 }
@@ -921,7 +946,8 @@ func (s *Switch) writeCB(i int, now int64) {
 func (s *Switch) clearInput(in *inputState) {
 	in.mode = modeIdle
 	in.worm = nil
-	in.plans = nil
+	clear(in.plans)
+	in.plans = in.plans[:0]
 	in.pb = nil
 	in.bypassOut = -1
 }

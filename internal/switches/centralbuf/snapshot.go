@@ -61,8 +61,8 @@ func branchRef(e *ckpt.Enc, idx map[*packetBuf]int, b *cbBranch) {
 		panic("centralbuf: branch of unenumerated packet")
 	}
 	bi := -1
-	for k, cand := range b.pb.branches {
-		if cand == b {
+	for k := range b.pb.branches {
+		if &b.pb.branches[k] == b {
 			bi = k
 			break
 		}
@@ -88,7 +88,7 @@ func branchAt(d *ckpt.Dec, pbs []*packetBuf) *cbBranch {
 		d.Fail("centralbuf: branch ref (%d,%d) out of range", pi, bi)
 		return nil
 	}
-	return pbs[pi].branches[bi]
+	return &pbs[pi].branches[bi]
 }
 
 // CollectState adds every worm the switch holds to the checkpoint graph.
@@ -109,8 +109,8 @@ func (s *Switch) CollectState(g *ckpt.Graph) {
 	pbs, _ := s.livePackets()
 	for _, pb := range pbs {
 		g.AddWorm(pb.worm)
-		for _, b := range pb.branches {
-			g.AddWorm(b.child)
+		for k := range pb.branches {
+			g.AddWorm(pb.branches[k].child)
 		}
 	}
 	for _, pt := range s.pendingTok {
@@ -135,7 +135,8 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 		e.Int(pb.input)
 		e.Int(pb.pool)
 		e.Int(len(pb.branches))
-		for _, b := range pb.branches {
+		for k := range pb.branches {
+			b := &pb.branches[k]
 			e.U64(g.WormID(b.child))
 			e.Int(b.out)
 			e.Int(b.read)
@@ -218,8 +219,10 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.U64(s.rng.State())
 }
 
-// DecodeState restores the switch over a freshly constructed twin.
+// DecodeState restores the switch over a freshly constructed twin. The
+// packet free list is derived state and starts empty.
 func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
+	s.freePB = nil
 	npb := d.Count(8)
 	pbs := make([]*packetBuf, 0, npb)
 	for i := 0; i < npb && d.Err() == nil; i++ {
@@ -248,9 +251,10 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			d.Fail("%s: packet %d inconsistent", s.Name(), i)
 			return
 		}
-		pb.branches = make([]*cbBranch, nb)
+		pb.branches = make([]cbBranch, nb)
 		for bi := range pb.branches {
-			b := &cbBranch{pb: pb, child: g.WormAt(d, d.U64()), out: d.Int(), read: d.Int()}
+			b := &pb.branches[bi]
+			*b = cbBranch{pb: pb, child: g.WormAt(d, d.U64()), out: d.Int(), read: d.Int()}
 			if d.Err() != nil {
 				return
 			}
@@ -258,7 +262,6 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 				d.Fail("%s: packet %d branch %d inconsistent", s.Name(), i, bi)
 				return
 			}
-			pb.branches[bi] = b
 		}
 		pbs = append(pbs, pb)
 	}

@@ -38,26 +38,29 @@ type Planned struct {
 }
 
 // PlanBranches routes worm w arriving at sw (ascending or descending) and
-// forks one child worm per branch. free reports whether an output port is
-// currently unbound (consulted by the adaptive up policy); rng drives the
-// random up policy. dead, when non-nil, marks output ports whose links have
-// failed: the plan routes around them and the second result carries the
-// destinations that became unreachable, for the caller to account as
-// dropped. A plan may legitimately be empty when every branch died.
-func PlanBranches(r *routing.Router, sw *topology.Switch, w *flit.Worm, ascending bool,
-	free func(port int) bool, dead func(port int) bool,
+// forks one child worm per branch, appending the branches to plans. dec is
+// the switch's routing scratch, refilled on every call; plans is storage
+// the caller owns and reuses, so a decode allocates only the child worms
+// (from arena) and the destination sets of branches that split w's set.
+// free reports whether an output port is currently unbound (consulted by
+// the adaptive up policy); rng drives the random up policy. dead, when
+// non-nil, marks output ports whose links have failed: the plan routes
+// around them and the second result carries the destinations that became
+// unreachable, for the caller to account as dropped. A plan may
+// legitimately be empty when every branch died.
+func PlanBranches(plans []Planned, dec *routing.Decision, r *routing.Router, sw *topology.Switch,
+	w *flit.Worm, ascending bool, free func(port int) bool, dead func(port int) bool,
 	rng *engine.RNG, ids *engine.IDGen, arena *flit.WormArena) ([]Planned, bitset.Set, error) {
 
-	dec, dropped, err := r.RouteAvoid(sw, w.Dests, ascending, dead)
+	dropped, err := r.RouteAvoid(sw, w.Dests, ascending, dead, dec)
 	if err != nil {
-		return nil, bitset.Set{}, err
+		return plans, bitset.Set{}, err
 	}
-	plans := make([]Planned, 0, dec.NumBranches())
 	for _, b := range dec.Down {
 		plans = append(plans, Planned{Port: b.Port, Child: fork(w, b.Dests, false, ids, arena)})
 	}
 	if !dec.UpDests.Empty() {
-		port := r.PickUp(&dec, w.Msg, free, rng)
+		port := r.PickUp(dec, w.Msg, free, rng)
 		plans = append(plans, Planned{Port: port, Child: fork(w, dec.UpDests, true, ids, arena)})
 	}
 	return plans, dropped, nil

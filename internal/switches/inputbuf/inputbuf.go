@@ -19,6 +19,7 @@ package inputbuf
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
@@ -97,6 +98,8 @@ type wormRecv struct {
 	got int // flits received so far
 }
 
+// branch is one output branch of an input's head worm. Records are recycled
+// through the switch's free list once the head worm finishes.
 type branch struct {
 	in      int // owning input port
 	out     int
@@ -135,6 +138,14 @@ type Switch struct {
 
 	in  []inputState
 	out []outputState
+
+	// Decode storage the switch owns: the routing decision and plan every
+	// decode refills (the plan is copied into branch records at once), and
+	// branch records of finished head worms awaiting reuse. All derived
+	// state, never serialized.
+	dec          routing.Decision
+	plans        []switches.Planned
+	freeBranches []*branch
 
 	// reqBits[o] has bit i set while input i holds a requestable (created,
 	// ungranted, not yet done) branch for output o, so arbitration skips
@@ -432,8 +443,13 @@ func (s *Switch) finishHeads(now int64) {
 				s.ports[i].In.ReturnCredit(now, delta)
 			}
 		}
-		in.queue = in.queue[1:]
-		in.branches = nil
+		in.queue = slices.Delete(in.queue, 0, 1)
+		for _, b := range in.branches {
+			b.child = nil
+			s.freeBranches = append(s.freeBranches, b)
+		}
+		clear(in.branches)
+		in.branches = in.branches[:0]
 		in.minSent = 0
 		in.mode = modeIdle
 		s.sim.Progress()
@@ -517,7 +533,7 @@ func (s *Switch) stepInput(i int, now int64) {
 				return
 			}
 			w := head.w
-			in.queue = in.queue[1:]
+			in.queue = slices.Delete(in.queue, 0, 1)
 			in.occupancy--
 			s.ports[i].In.ReturnCredit(now, 1)
 			s.handleToken(i, w)
@@ -567,7 +583,9 @@ func (s *Switch) decode(i int, now int64) {
 			return out != nil && out.Dead()
 		}
 	}
-	plans, dropped, err := switches.PlanBranches(s.router, s.node, head.w, ascending, free, dead, s.rng, s.ids, &s.arena)
+	plans, dropped, err := switches.PlanBranches(s.plans[:0], &s.dec, s.router, s.node, head.w, ascending,
+		free, dead, s.rng, s.ids, &s.arena)
+	s.plans = plans
 	if err != nil {
 		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
 	}
@@ -587,13 +605,29 @@ func (s *Switch) decode(i int, now int64) {
 		return
 	}
 	s.stats.Replications += int64(len(plans) - 1)
-	in.branches = make([]*branch, len(plans))
-	for bi, p := range plans {
-		in.branches[bi] = &branch{in: i, out: p.Port, child: p.Child, reqAt: now}
+	for _, p := range plans {
+		in.branches = append(in.branches, s.newBranch(i, p, now))
 		s.request(p.Port, i)
 	}
+	clear(plans)
 	in.minSent = 0
 	in.mode = modeActive
+}
+
+// newBranch takes a record from the free list (or allocates one) for input
+// i's branch p requested at cycle now, clearing every field a previous
+// branch left behind.
+func (s *Switch) newBranch(i int, p switches.Planned, now int64) *branch {
+	var b *branch
+	if n := len(s.freeBranches); n > 0 {
+		b = s.freeBranches[n-1]
+		s.freeBranches[n-1] = nil
+		s.freeBranches = s.freeBranches[:n-1]
+	} else {
+		b = new(branch)
+	}
+	*b = branch{in: i, out: p.Port, child: p.Child, reqAt: now}
+	return b
 }
 
 // sinkHead frees the head worm's flits as they arrive and pops it at the
@@ -613,7 +647,7 @@ func (s *Switch) sinkHead(i int, now int64) {
 		s.ports[i].In.ReturnCredit(now, delta)
 	}
 	if head.got == head.w.Len() {
-		in.queue = in.queue[1:]
+		in.queue = slices.Delete(in.queue, 0, 1)
 		in.minSent = 0
 		in.mode = modeIdle
 		s.sim.Progress()

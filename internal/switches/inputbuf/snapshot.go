@@ -93,8 +93,10 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.U64(s.rng.State())
 }
 
-// DecodeState restores the switch over a freshly constructed twin.
+// DecodeState restores the switch over a freshly constructed twin. The
+// branch free list is derived state and starts empty.
 func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
+	s.freeBranches = nil
 	nin := d.Count(8)
 	if d.Err() != nil {
 		return

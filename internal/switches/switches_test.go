@@ -157,7 +157,8 @@ func TestPlanBranchesForksChildren(t *testing.T) {
 	w.GoingUp = true
 	ids.Next() // burn one so children get fresh ids
 
-	plans, dropped, err := PlanBranches(r, sw, w, true, func(int) bool { return true }, nil, rng, &ids, new(flit.WormArena))
+	plans, dropped, err := PlanBranches(nil, new(routing.Decision), r, sw, w, true, func(int) bool { return true }, nil,
+		rng, &ids, new(flit.WormArena))
 	if err != nil {
 		t.Fatal(err)
 	}

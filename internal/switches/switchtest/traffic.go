@@ -36,6 +36,9 @@ const (
 // At the fault cycle the processor-2 and second up output links die and the
 // processor-1 output link sticks for a while; barriers stop at that point,
 // since a severed combining tree can never complete.
+//
+// The simulation runs with strict invariants: the switch's first accounting
+// violation (chunk or occupancy ledgers, reference counts) panics.
 type Traffic struct {
 	Sim    *engine.Simulation
 	Net    *topology.Network
@@ -52,6 +55,7 @@ type Traffic struct {
 
 	arity   int
 	rng     *engine.RNG
+	pool    []int // Sample's scratch population
 	srcs    []*source
 	faultAt int64
 	faulted bool
@@ -79,6 +83,7 @@ func New(seed uint64, arity, inCredits int, faultAt int64) *Traffic {
 		rng:     engine.NewRNG(seed),
 		faultAt: faultAt,
 	}
+	tr.Sim.Invariants().Strict = true
 	tr.McastPorts = ^uint64(0)
 	tr.Ports = make([]switches.PortIO, tr.Node.NumPorts())
 	for p := range tr.Ports {
@@ -154,17 +159,13 @@ func (tr *Traffic) generate(now int64) {
 
 // randomDests draws one destination or, half the time on a multicast port,
 // several (at most maxFanout) from the first span processors, excluding
-// self.
+// self (-1 excludes nothing).
 func (tr *Traffic) randomDests(port, self, span int) []int {
 	k := 1
 	if tr.rng.Bernoulli(0.5) && tr.McastPorts&(1<<uint(port)) != 0 {
 		k = 2 + tr.rng.Intn(min(span, maxFanout)-2)
 	}
-	excl := map[int]bool{}
-	if self >= 0 {
-		excl[self] = true
-	}
-	return tr.rng.Sample(span, k, excl)
+	return tr.rng.Sample(span, k, self, &tr.pool)
 }
 
 func (tr *Traffic) queueData(port, src int, dests []int, up bool) {

@@ -83,6 +83,7 @@ type Generator struct {
 	spec Spec
 	n    int
 	rngs []*engine.RNG
+	pool []int // Sample's scratch population, reused across draws
 }
 
 // NewGenerator creates a generator for n nodes seeded from seed. Each node
@@ -112,7 +113,7 @@ func (g *Generator) Draw(node int) (Request, bool) {
 	if rng.Bernoulli(g.spec.MulticastFraction) {
 		req.Multicast = true
 		req.Payload = g.spec.McastPayloadFlits
-		req.Dests = rng.Sample(g.n, g.spec.Degree, map[int]bool{node: true})
+		req.Dests = rng.Sample(g.n, g.spec.Degree, node, &g.pool)
 	} else {
 		req.Payload = g.spec.UniPayloadFlits
 		if g.spec.HotSpotFraction > 0 && node != g.spec.HotSpotNode &&
