@@ -30,7 +30,8 @@ type Simulator struct {
 	col    stats.Collector
 	ids    engine.IDGen
 	ops    flit.OpArena
-	fac    *factory // built once; every NIC and inject shares it
+	worms  flit.WormArena // the only worm pool; every switch and NIC shares it
+	fac    *factory       // built once; every NIC and inject shares it
 
 	// ports holds each switch's per-port link pair; the fault driver uses
 	// it to fail or stall specific links at their scheduled cycles.
@@ -211,11 +212,11 @@ func (s *Simulator) build() {
 		var comp engine.Component
 		switch cfg.Arch {
 		case CentralBuffer:
-			sw := centralbuf.New(cfg.CB, node, s.router, ports[node.ID], rng, &s.ids, s.sim)
+			sw := centralbuf.New(cfg.CB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 			s.cbs = append(s.cbs, sw)
 			comp = sw
 		case InputBuffer:
-			sw := inputbuf.New(cfg.IB, node, s.router, ports[node.ID], rng, &s.ids, s.sim)
+			sw := inputbuf.New(cfg.IB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 			s.ibs = append(s.ibs, sw)
 			comp = sw
 		}
@@ -233,7 +234,7 @@ func (s *Simulator) build() {
 	// out-of-band message injection.
 	s.nics = make([]*nic.NIC, s.net.N)
 	for p := 0; p < s.net.N; p++ {
-		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, s.sim, s.fac, s.onDelivered)
+		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, &s.worms, s.sim, s.fac, s.onDelivered)
 		n.SetOnDrop(s.onWormDrop)
 		s.nics[p] = n
 		s.sim.AddComponent(n)

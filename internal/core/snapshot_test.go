@@ -6,12 +6,17 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"os"
+	"reflect"
 	"testing"
 
 	"mdworm/internal/ckpt"
+	"mdworm/internal/collective"
 	"mdworm/internal/engine"
+	"mdworm/internal/faults"
 	"mdworm/internal/flit"
 	"mdworm/internal/obs"
+	"mdworm/internal/stats"
 )
 
 // snapTestConfig is a small, fast workload exercising both traffic classes.
@@ -155,6 +160,132 @@ func TestRestoreRequiresEventsSection(t *testing.T) {
 	old = append(old, kept...)
 	if _, err := Restore(old); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("blob without %q section gave %v, want ckpt.ErrCorrupt", secEvents, err)
+	}
+}
+
+// finishedBranchConfig broadcasts one 64-flit worm from node 0 of a
+// one-switch, 4-node fabric while the switch's output to node 2 is stuck
+// until cycle 601. The branches to nodes 1 and 3 send their tails at cycle
+// 135 and deliver at 136; their sibling holds the worm in the switch until
+// node 2 receives it at cycle 666.
+func finishedBranchConfig(arch SwitchArch) Config {
+	cfg := DefaultConfig()
+	cfg.Arity, cfg.Stages = 4, 1
+	cfg.Arch = arch
+	cfg.Traffic.OpRate = 0
+	cfg.Traffic.Degree = 3
+	cfg.WarmupCycles, cfg.MeasureCycles = 0, 100
+	cfg.Collective = collective.Spec{Kind: collective.Broadcast, PayloadFlits: 64, Reps: 1}
+	cfg.Faults = faults.Plan{Events: []faults.Event{
+		{Kind: faults.PortStuck, At: 1, Duration: 600, Switch: 0, Port: 2},
+	}}
+	return cfg
+}
+
+// uninterrupted builds cfg and returns the simulator with the results of
+// running it without interruption.
+func uninterrupted(t *testing.T, cfg Config) (*Simulator, stats.Results) {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, r
+}
+
+// delivered returns how many messages each NIC has received.
+func delivered(s *Simulator) []int64 {
+	var d []int64
+	for _, n := range s.nics {
+		d = append(d, n.Stats().MessagesDelivered)
+	}
+	return d
+}
+
+// resumeAt runs sim to the checkpoint at cycle at (the first multiple of at
+// past its clock), checks which NICs have received the broadcast by then,
+// restores the checkpoint and finishes the run from it.
+func resumeAt(t *testing.T, sim *Simulator, at int64, want []int64) stats.Results {
+	t.Helper()
+	var blob []byte
+	_, err := sim.RunCheckpointed(at, func(data []byte, cycle int64) error {
+		if got := delivered(sim); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: NICs delivered %v, want %v", cycle, got, want)
+		}
+		blob = data
+		return errSnapAbort
+	})
+	if !errors.Is(err, errSnapAbort) {
+		t.Fatalf("run ended with %v before cycle %d", err, at)
+	}
+	restored, err := Restore(blob)
+	if err != nil {
+		t.Fatalf("restore at cycle %d: %v", at, err)
+	}
+	r, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSnapshotWithFinishedBranch checkpoints both switch models while a
+// multicast's finished branches have delivered and their sibling is held
+// back by a stuck output. The receiving NICs have released the finished
+// branches' children, so the switch must no longer name them; the resumed
+// run must match the uninterrupted one.
+func TestSnapshotWithFinishedBranch(t *testing.T) {
+	for _, arch := range []SwitchArch{CentralBuffer, InputBuffer} {
+		t.Run(arch.String(), func(t *testing.T) {
+			cfg := finishedBranchConfig(arch)
+			_, want := uninterrupted(t, cfg)
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resumeAt(t, sim, 300, []int64{0, 1, 0, 1}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed results differ\nwant %+v\ngot  %+v", want, got)
+			}
+		})
+	}
+}
+
+// TestRestoreFinishedBranchNamingChild restores checkpoints written before
+// finished branches dropped their child. Each was taken at cycle 136 of
+// finishedBranchConfig, when the tails of the finished branches are on the
+// wire and their branch records still name the children the NICs release a
+// cycle later. The restored switch must drop those names: a checkpoint
+// taken after the release restores, and the run matches the uninterrupted
+// one.
+func TestRestoreFinishedBranchNamingChild(t *testing.T) {
+	for _, c := range []struct {
+		arch SwitchArch
+		blob string
+	}{
+		{CentralBuffer, "testdata/finished-branch-cb.ckpt"},
+		{InputBuffer, "testdata/finished-branch-ib.ckpt"},
+	} {
+		t.Run(c.arch.String(), func(t *testing.T) {
+			blob, err := os.ReadFile(c.blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := Restore(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, want := uninterrupted(t, finishedBranchConfig(c.arch))
+			if sim.Now() != 136 || !reflect.DeepEqual(sim.Config(), ref.Config()) {
+				t.Fatalf("%s is not a cycle-136 checkpoint of finishedBranchConfig", c.blob)
+			}
+			if got := resumeAt(t, sim, 300, []int64{0, 1, 0, 1}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed results differ\nwant %+v\ngot  %+v", want, got)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -46,4 +47,34 @@ func TestWormArenaChunkFitsSizeClass(t *testing.T) {
 	if per := best / refills; per > 4096 {
 		t.Fatalf("a chunk refill allocates %d bytes, want at most 4096", per)
 	}
+}
+
+// TestNilWormArena checks the standalone arena: New allocates a fresh zeroed
+// worm each time and Release leaves the worm untouched.
+func TestNilWormArena(t *testing.T) {
+	var a *WormArena
+	w := a.New()
+	if w == nil || !reflect.ValueOf(*w).IsZero() || a.New() == w {
+		t.Fatalf("nil arena New returned %+v", w)
+	}
+	*w = Worm{ID: 3, Msg: &Message{ID: 1, HeaderFlits: 1}}
+	a.Release(w)
+	if w.ID != 3 || w.Len() != 1 {
+		t.Fatalf("nil arena Release changed the worm: %+v", *w)
+	}
+}
+
+// TestWormArenaDoubleReleasePanics checks that releasing a worm twice
+// panics instead of putting it on the free list twice.
+func TestWormArenaDoubleReleasePanics(t *testing.T) {
+	var a WormArena
+	w := a.New()
+	*w = Worm{ID: 1, Msg: &Message{ID: 1, HeaderFlits: 1}}
+	a.Release(w)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	a.Release(w)
 }

@@ -73,10 +73,10 @@ type NIC struct {
 	eject   *engine.Link
 	cfg     Config
 	ids     *engine.IDGen
+	worms   *flit.WormArena // the simulation's worm pool; nil when standalone
 	sim     *engine.Simulation
 	factory collective.MessageFactory
 	onDelv  DeliveredFunc
-	arena   flit.WormArena
 
 	sendQ         []*flit.Message
 	overheadLeft  int
@@ -97,8 +97,11 @@ type NIC struct {
 
 // New creates a NIC for processor proc in a system of n processors.
 // inject carries flits toward the switch; eject carries flits from it.
+// worms is the simulation's worm pool: the NIC injects worms from it and
+// releases each worm it receives once the delivery callback returns. A
+// standalone NIC, whose driver keeps the worms it sends in, gets nil.
 func New(cfg Config, proc, n int, inject, eject *engine.Link,
-	ids *engine.IDGen, sim *engine.Simulation,
+	ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation,
 	factory collective.MessageFactory, onDelivered DeliveredFunc) *NIC {
 
 	return &NIC{
@@ -108,6 +111,7 @@ func New(cfg Config, proc, n int, inject, eject *engine.Link,
 		eject:   eject,
 		cfg:     cfg,
 		ids:     ids,
+		worms:   worms,
 		sim:     sim,
 		factory: factory,
 		onDelv:  onDelivered,
@@ -219,6 +223,7 @@ func (nc *NIC) stepEject(now int64) {
 	if nc.onDelv != nil {
 		nc.onDelv(m, nc, now)
 	}
+	nc.worms.Release(w)
 }
 
 func (nc *NIC) stepForward(now int64) {
@@ -279,7 +284,7 @@ func (nc *NIC) stepInject(now int64) {
 		nc.sendQ = slices.Delete(nc.sendQ, 0, 1)
 		nc.overheadSpent = false
 		dests := bitset.FromSlice(nc.n, m.Dests)
-		nc.curWorm = nc.arena.New()
+		nc.curWorm = nc.worms.New()
 		*nc.curWorm = flit.Worm{
 			ID:      nc.ids.Next(),
 			Msg:     m,

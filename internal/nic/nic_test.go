@@ -53,7 +53,7 @@ func newEnv(t *testing.T, cfg Config) *env {
 	e.eject = e.sim.NewLink("ej", 1, cfg.RecvFIFOFlits)
 	e.out = &wire{link: e.inject}
 	fac := &testFactory{ids: &e.ids}
-	e.nic = New(cfg, 3, 16, e.inject, e.eject, &e.ids, e.sim, fac,
+	e.nic = New(cfg, 3, 16, e.inject, e.eject, &e.ids, nil, e.sim, fac,
 		func(m *flit.Message, at *NIC, now int64) {
 			e.delivered = append(e.delivered, m)
 		})

@@ -24,7 +24,7 @@ func TestActivityBitmapsCoverWork(t *testing.T) {
 			cfg := testConfig()
 			cfg.PortBandwidth = tc.bw
 			tr := switchtest.New(uint64(11+tc.bw), tc.arity, cfg.InFIFOFlits, 20_000)
-			sw := New(cfg, tr.Node, tr.Router, tr.Ports, engine.NewRNG(1), &tr.IDs, tr.Sim)
+			sw := New(cfg, tr.Node, tr.Router, tr.Ports, engine.NewRNG(1), &tr.IDs, &tr.Worms, tr.Sim)
 			tr.Sim.AddComponent(sw)
 			sank := false
 			tr.Run(t, sw, 30_000, func(now int64) {
@@ -104,7 +104,7 @@ func restoreTwin(t *testing.T, s *Switch, cfg Config, tr *switchtest.Traffic) *S
 	for p := range ports {
 		ports[p] = switches.PortIO{In: engine.NewLink("in", 1, cfg.InFIFOFlits), Out: engine.NewLink("out", 1, 8)}
 	}
-	twin := New(cfg, tr.Node, tr.Router, ports, engine.NewRNG(1), &tr.IDs, tr.Sim)
+	twin := New(cfg, tr.Node, tr.Router, ports, engine.NewRNG(1), &tr.IDs, &tr.Worms, tr.Sim)
 	gd := ckpt.NewDec(graph.Bytes())
 	g2 := ckpt.DecodeGraph(gd)
 	d := ckpt.NewDec(state.Bytes())

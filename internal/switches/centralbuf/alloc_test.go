@@ -9,9 +9,9 @@ import (
 
 // TestSteadyStateBufferedPathAllocs sends worms one at a time through one
 // switch and pins what each costs the switch once warm: packet and branch
-// records come from the switch's free list and the routing scratch is
-// reused, so a worm allocates only its child (from the arena, rounded
-// away) and the destination sets of branches that split its set.
+// records come from the switch's free list, the routing scratch is reused
+// and the child comes from the worm pool, so a worm allocates only the
+// destination sets of branches that split its set.
 func TestSteadyStateBufferedPathAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -26,7 +26,7 @@ func TestSteadyStateBufferedPathAllocs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig()
 			sh := switchtest.NewShuttle(cfg.InFIFOFlits)
-			sw := New(cfg, sh.Node, sh.Router, sh.Ports, engine.NewRNG(1), &sh.IDs, sh.Sim)
+			sw := New(cfg, sh.Node, sh.Router, sh.Ports, engine.NewRNG(1), &sh.IDs, &sh.Worms, sh.Sim)
 			sh.Sim.AddComponent(sw)
 			if got := sh.AllocsPerWorm(t, c.dests, c.multicast, 200); got != c.want {
 				t.Fatalf("%v allocations per worm, want %v", got, c.want)

@@ -195,11 +195,22 @@ type packetBuf struct {
 	pool        int // direction pool the packet allocates from
 }
 
+// cbBranch is one output's reader of a buffered packet. A branch that has
+// read the packet's tail drops its child: the downstream switch or NIC may
+// release that worm while a slower sibling keeps the packet alive.
 type cbBranch struct {
 	pb    *packetBuf
-	child *flit.Worm
+	child *flit.Worm // nil once the branch is finished
 	out   int
 	read  int
+}
+
+// finish marks the branch as having read the whole packet, whether it read
+// the tail or was dropped: it holds none of the packet's chunks any more,
+// and it drops its child.
+func (b *cbBranch) finish() {
+	b.read = b.pb.total
+	b.child = nil
 }
 
 func (pb *packetBuf) minRead() int {
@@ -227,7 +238,7 @@ type Switch struct {
 	rng    *engine.RNG
 	ids    *engine.IDGen
 	sim    *engine.Simulation
-	arena  flit.WormArena
+	worms  *flit.WormArena // the simulation's worm pool; nil when standalone
 
 	in  []inputState
 	out []outputState
@@ -272,9 +283,12 @@ type Switch struct {
 
 // New creates a switch bound to its topology node and port links. All ports
 // of the node must be wired to links by the caller (unconnected ports get
-// nil PortIO entries).
+// nil PortIO entries). worms is the simulation's worm pool: the switch forks
+// child worms and barrier tokens from it and releases every worm whose tail
+// it consumes. A standalone switch, whose driver keeps the worms it injects,
+// gets nil: it allocates children on the heap and releases nothing.
 func New(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
-	rng *engine.RNG, ids *engine.IDGen, sim *engine.Simulation) *Switch {
+	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) *Switch {
 
 	if len(ports) != node.NumPorts() {
 		panic("centralbuf: port count mismatch")
@@ -289,6 +303,7 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 		ports:  ports,
 		rng:    rng,
 		ids:    ids,
+		worms:  worms,
 		sim:    sim,
 		in:     make([]inputState, len(ports)),
 		out:    make([]outputState, len(ports)),
@@ -449,7 +464,7 @@ func (s *Switch) discardOutput(o int, now int64) {
 		s.purgeFIFO(st, head.W)
 		st.cur = nil
 		st.mode = outIdle
-		b.read = b.pb.total
+		b.finish()
 		s.advanceFreeing(b.pb, now)
 	case st.mode == outBypass && st.boundIn >= 0 && s.in[st.boundIn].mode == modeBypass &&
 		s.in[st.boundIn].plans[0].Child == head.W:
@@ -524,7 +539,7 @@ func (s *Switch) serveOutput(o int, now int64) {
 				// The branch can never be transmitted; account the
 				// drop and release its hold on the packet.
 				s.reportDrop(now, b.child, b.child.Dests)
-				b.read = b.pb.total
+				b.finish()
 				s.advanceFreeing(b.pb, now)
 				continue
 			}
@@ -546,6 +561,7 @@ func (s *Switch) serveOutput(o int, now int64) {
 	// The last read may retire the packet, so finish with b first.
 	pb := b.pb
 	if b.read == pb.total {
+		b.finish()
 		st.cur = nil
 		st.mode = outIdle
 	}
@@ -593,6 +609,7 @@ func (s *Switch) retirePB(pb *packetBuf, now int64) {
 		pb.reserved = 0
 	}
 	s.livePB--
+	s.worms.Release(pb.worm)
 	pb.worm = nil
 	clear(pb.branches)
 	s.freePB = append(s.freePB, pb)
@@ -714,6 +731,7 @@ func (s *Switch) stepInput(i int, now int64) {
 			r := in.q.Pop()
 			s.ports[i].In.ReturnCredit(now, 1)
 			s.handleToken(i, r.W)
+			s.worms.Release(r.W)
 			return
 		}
 		if w := in.q.HeadWorm(); w != nil {
@@ -765,6 +783,7 @@ func (s *Switch) sinkInput(i int, now int64) {
 	s.sim.Progress()
 	if r.Tail() {
 		s.clearInput(in)
+		s.worms.Release(r.W)
 	}
 }
 
@@ -785,7 +804,7 @@ func (s *Switch) decode(i int, now int64) {
 		}
 	}
 	plans, dropped, err := switches.PlanBranches(in.plans[:0], &s.dec, s.router, s.node, in.worm, ascending,
-		free, dead, s.rng, s.ids, &s.arena)
+		free, dead, s.rng, s.ids, s.worms)
 	if err != nil {
 		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
 	}
@@ -903,6 +922,7 @@ func (s *Switch) pushBypass(i int, now int64) {
 		st.mode = outIdle
 		st.boundIn = -1
 		s.clearInput(in)
+		s.worms.Release(r.W)
 	}
 }
 

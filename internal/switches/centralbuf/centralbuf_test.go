@@ -92,7 +92,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		h.snk = append(h.snk, snk)
 		h.sim.AddComponent(snk)
 	}
-	h.sw = New(cfg, node, router, ports, engine.NewRNG(1), &h.ids, h.sim)
+	h.sw = New(cfg, node, router, ports, engine.NewRNG(1), &h.ids, nil, h.sim)
 	h.sim.AddComponent(h.sw)
 	return h
 }

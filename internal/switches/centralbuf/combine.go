@@ -92,7 +92,7 @@ func (s *Switch) emitToken(port int, dest *int, op *flit.Op) {
 		msg.Dests = []int{*dest}
 		dests.Add(*dest)
 	}
-	w := s.arena.New()
+	w := s.worms.New()
 	*w = flit.Worm{ID: s.ids.Next(), Msg: msg, Dests: dests}
 	s.pendingTok = append(s.pendingTok, pendingToken{port: port, worm: w})
 	s.sim.Progress()

@@ -258,7 +258,13 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			if d.Err() != nil {
 				return
 			}
-			if b.child == nil || b.out < 0 || b.out >= len(s.out) || b.read < 0 || b.read > pb.total {
+			if b.read == pb.total {
+				// A finished branch holds no child. Checkpoints written
+				// before branches dropped it still name one.
+				b.child = nil
+			}
+			if (b.child == nil && b.read != pb.total) || b.out < 0 || b.out >= len(s.out) ||
+				b.read < 0 || b.read > pb.total {
 				d.Fail("%s: packet %d branch %d inconsistent", s.Name(), i, bi)
 				return
 			}
@@ -361,6 +367,10 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		st.mode = outputMode(d.U8())
 		st.boundIn = d.Int()
 		st.cur = branchAt(d, pbs)
+		if st.cur != nil && st.cur.child == nil {
+			d.Fail("%s: output %d serving a finished branch", s.Name(), o)
+			return
+		}
 		nq := d.Count(16)
 		if d.Err() != nil {
 			return
@@ -371,8 +381,8 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			if d.Err() != nil {
 				return
 			}
-			if b == nil {
-				d.Fail("%s: output %d queued nil branch", s.Name(), o)
+			if b == nil || b.child == nil {
+				d.Fail("%s: output %d queued a nil or finished branch", s.Name(), o)
 				return
 			}
 			st.queue = append(st.queue, b)

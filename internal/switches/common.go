@@ -41,7 +41,8 @@ type Planned struct {
 // forks one child worm per branch, appending the branches to plans. dec is
 // the switch's routing scratch, refilled on every call; plans is storage
 // the caller owns and reuses, so a decode allocates only the child worms
-// (from arena) and the destination sets of branches that split w's set.
+// (from worms, the simulation's pool) and the destination sets of branches
+// that split w's set.
 // free reports whether an output port is currently unbound (consulted by
 // the adaptive up policy); rng drives the random up policy. dead, when
 // non-nil, marks output ports whose links have failed: the plan routes
@@ -50,18 +51,18 @@ type Planned struct {
 // legitimately be empty when every branch died.
 func PlanBranches(plans []Planned, dec *routing.Decision, r *routing.Router, sw *topology.Switch,
 	w *flit.Worm, ascending bool, free func(port int) bool, dead func(port int) bool,
-	rng *engine.RNG, ids *engine.IDGen, arena *flit.WormArena) ([]Planned, bitset.Set, error) {
+	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena) ([]Planned, bitset.Set, error) {
 
 	dropped, err := r.RouteAvoid(sw, w.Dests, ascending, dead, dec)
 	if err != nil {
 		return plans, bitset.Set{}, err
 	}
 	for _, b := range dec.Down {
-		plans = append(plans, Planned{Port: b.Port, Child: fork(w, b.Dests, false, ids, arena)})
+		plans = append(plans, Planned{Port: b.Port, Child: fork(w, b.Dests, false, ids, worms)})
 	}
 	if !dec.UpDests.Empty() {
 		port := r.PickUp(dec, w.Msg, free, rng)
-		plans = append(plans, Planned{Port: port, Child: fork(w, dec.UpDests, true, ids, arena)})
+		plans = append(plans, Planned{Port: port, Child: fork(w, dec.UpDests, true, ids, worms)})
 	}
 	return plans, dropped, nil
 }
@@ -78,8 +79,8 @@ func AnyDeadOut(ports []PortIO) bool {
 	return false
 }
 
-func fork(w *flit.Worm, dests bitset.Set, goingUp bool, ids *engine.IDGen, arena *flit.WormArena) *flit.Worm {
-	child := arena.New()
+func fork(w *flit.Worm, dests bitset.Set, goingUp bool, ids *engine.IDGen, worms *flit.WormArena) *flit.Worm {
+	child := worms.New()
 	*child = flit.Worm{
 		ID:      ids.Next(),
 		Msg:     w.Msg,

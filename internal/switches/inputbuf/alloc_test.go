@@ -9,10 +9,10 @@ import (
 
 // TestSteadyStateDecodeAllocs sends worms one at a time through one switch
 // and pins what each costs the switch once warm: branch records come from
-// the switch's free list, the routing scratch and plan are reused, and the
-// worm queue keeps its storage, so a worm allocates only its children
-// (from the arena, rounded away) and the destination sets of branches that
-// split its set.
+// the switch's free list, the routing scratch and plan are reused, the
+// worm queue keeps its storage and the children come from the worm pool,
+// so a worm allocates only the destination sets of branches that split its
+// set.
 func TestSteadyStateDecodeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -27,7 +27,7 @@ func TestSteadyStateDecodeAllocs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig()
 			sh := switchtest.NewShuttle(cfg.BufFlits)
-			sw := New(cfg, sh.Node, sh.Router, sh.Ports, engine.NewRNG(1), &sh.IDs, sh.Sim)
+			sw := New(cfg, sh.Node, sh.Router, sh.Ports, engine.NewRNG(1), &sh.IDs, &sh.Worms, sh.Sim)
 			sh.Sim.AddComponent(sw)
 			if got := sh.AllocsPerWorm(t, c.dests, c.multicast, 200); got != c.want {
 				t.Fatalf("%v allocations per worm, want %v", got, c.want)

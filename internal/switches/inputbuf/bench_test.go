@@ -15,7 +15,7 @@ import (
 func BenchmarkStep(b *testing.B) {
 	cfg := testConfig()
 	tr := switchtest.New(11, 4, cfg.BufFlits, math.MaxInt64)
-	sw := New(cfg, tr.Node, tr.Router, tr.Ports, engine.NewRNG(1), &tr.IDs, tr.Sim)
+	sw := New(cfg, tr.Node, tr.Router, tr.Ports, engine.NewRNG(1), &tr.IDs, &tr.Worms, tr.Sim)
 	tr.Sim.AddComponent(sw)
 	b.ReportAllocs()
 	b.ResetTimer()

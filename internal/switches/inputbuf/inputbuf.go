@@ -99,11 +99,13 @@ type wormRecv struct {
 }
 
 // branch is one output branch of an input's head worm. Records are recycled
-// through the switch's free list once the head worm finishes.
+// through the switch's free list once the head worm finishes. A done branch
+// drops its child: the downstream switch or NIC may release that worm while
+// a slower sibling keeps the head worm alive.
 type branch struct {
 	in      int // owning input port
 	out     int
-	child   *flit.Worm
+	child   *flit.Worm // nil once the branch is done
 	sent    int
 	granted bool
 	done    bool
@@ -134,7 +136,7 @@ type Switch struct {
 	rng    *engine.RNG
 	ids    *engine.IDGen
 	sim    *engine.Simulation
-	arena  flit.WormArena
+	worms  *flit.WormArena // the simulation's worm pool; nil when standalone
 
 	in  []inputState
 	out []outputState
@@ -172,9 +174,13 @@ type Switch struct {
 	stats Stats
 }
 
-// New creates a switch bound to its topology node and port links.
+// New creates a switch bound to its topology node and port links. worms is
+// the simulation's worm pool: the switch forks child worms and barrier
+// tokens from it and releases every worm whose tail it consumes. A
+// standalone switch, whose driver keeps the worms it injects, gets nil: it
+// allocates children on the heap and releases nothing.
 func New(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
-	rng *engine.RNG, ids *engine.IDGen, sim *engine.Simulation) *Switch {
+	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) *Switch {
 
 	if len(ports) != node.NumPorts() {
 		panic("inputbuf: port count mismatch")
@@ -189,6 +195,7 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 		ports:   ports,
 		rng:     rng,
 		ids:     ids,
+		worms:   worms,
 		sim:     sim,
 		in:      make([]inputState, len(ports)),
 		out:     make([]outputState, len(ports)),
@@ -278,6 +285,7 @@ func (s *Switch) dropDeadBranches(now int64) {
 			}
 			s.reportDrop(now, b.child, b.child.Dests)
 			b.done = true
+			b.child = nil
 			b.sent = in.queue[0].w.Len()
 			if b.granted && s.out[b.out].bound == b {
 				s.unbind(b.out)
@@ -331,6 +339,7 @@ func (s *Switch) serveOutputs(now int64) {
 		s.stats.FlitsOut++
 		if b.sent == head.w.Len() {
 			b.done = true
+			b.child = nil
 			s.unbind(o)
 		}
 		s.advanceFreeing(b.in, now)
@@ -373,6 +382,7 @@ func (s *Switch) serveOutputsSync(now int64) {
 			s.stats.FlitsOut++
 			if b.sent == head.w.Len() {
 				b.done = true
+				b.child = nil
 				s.unbind(b.out)
 			}
 		}
@@ -443,11 +453,9 @@ func (s *Switch) finishHeads(now int64) {
 				s.ports[i].In.ReturnCredit(now, delta)
 			}
 		}
+		s.worms.Release(head.w)
 		in.queue = slices.Delete(in.queue, 0, 1)
-		for _, b := range in.branches {
-			b.child = nil
-			s.freeBranches = append(s.freeBranches, b)
-		}
+		s.freeBranches = append(s.freeBranches, in.branches...)
 		clear(in.branches)
 		in.branches = in.branches[:0]
 		in.minSent = 0
@@ -537,6 +545,7 @@ func (s *Switch) stepInput(i int, now int64) {
 			in.occupancy--
 			s.ports[i].In.ReturnCredit(now, 1)
 			s.handleToken(i, w)
+			s.worms.Release(w)
 			return
 		}
 		in.mode = modeHeader
@@ -584,7 +593,7 @@ func (s *Switch) decode(i int, now int64) {
 		}
 	}
 	plans, dropped, err := switches.PlanBranches(s.plans[:0], &s.dec, s.router, s.node, head.w, ascending,
-		free, dead, s.rng, s.ids, &s.arena)
+		free, dead, s.rng, s.ids, s.worms)
 	s.plans = plans
 	if err != nil {
 		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
@@ -647,6 +656,7 @@ func (s *Switch) sinkHead(i int, now int64) {
 		s.ports[i].In.ReturnCredit(now, delta)
 	}
 	if head.got == head.w.Len() {
+		s.worms.Release(head.w)
 		in.queue = slices.Delete(in.queue, 0, 1)
 		in.minSent = 0
 		in.mode = modeIdle

@@ -137,8 +137,14 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			if d.Err() != nil {
 				return
 			}
-			if b.child == nil || b.out < 0 || b.out >= len(s.out) ||
-				b.sent < 0 || b.sent > b.child.Len() {
+			if b.done {
+				// A done branch holds no child. Checkpoints written
+				// before branches dropped it still name one.
+				b.child = nil
+			}
+			// Branches belong to the head worm and share its flit count.
+			if len(in.queue) == 0 || (b.child == nil && !b.done) || b.out < 0 || b.out >= len(s.out) ||
+				b.sent < 0 || b.sent > in.queue[0].w.Len() {
 				d.Fail("%s: input %d branch %d inconsistent", s.Name(), i, k)
 				return
 			}
@@ -181,10 +187,11 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 		if bin == -1 && bidx == -1 {
 			st.bound = nil
-		} else if bin >= 0 && bin < len(s.in) && bidx >= 0 && bidx < len(s.in[bin].branches) {
+		} else if bin >= 0 && bin < len(s.in) && bidx >= 0 && bidx < len(s.in[bin].branches) &&
+			!s.in[bin].branches[bidx].done {
 			st.bound = s.in[bin].branches[bidx]
 		} else {
-			d.Fail("%s: output %d bound ref (%d,%d) out of range", s.Name(), o, bin, bidx)
+			d.Fail("%s: output %d bound ref (%d,%d) out of range or done", s.Name(), o, bin, bidx)
 			return
 		}
 		if last < 0 || last >= st.arb.N() {

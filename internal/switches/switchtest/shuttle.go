@@ -14,9 +14,10 @@ import (
 
 // Shuttle wires the single switch of a one-stage 4-ary tree (processors
 // 0..3, one per port) to a source on processor 0's port and a sink on every
-// port, neither of which allocates. It sends one worm at a time and lets
-// the switch drain between worms, so a test can measure what the switch
-// itself allocates per worm in steady state.
+// port, neither of which allocates: the source draws its worms from Worms,
+// and the switch and the sinks release them at their tails. It sends one
+// worm at a time and lets the switch drain between worms, so a test can
+// measure what the switch itself allocates per worm in steady state.
 type Shuttle struct {
 	Sim    *engine.Simulation
 	Net    *topology.Network
@@ -24,12 +25,13 @@ type Shuttle struct {
 	Router *routing.Router
 	Ports  []switches.PortIO
 	IDs    engine.IDGen
+	Worms  flit.WormArena
 
 	src *shuttleSource
 }
 
 // NewShuttle builds the fabric around the switch under test, which the
-// caller constructs over Ports (with Node, Router, IDs and Sim) and
+// caller constructs over Ports (with Node, Router, IDs, Worms and Sim) and
 // registers with Sim.AddComponent. inCredits is the switch's input buffer
 // size.
 func NewShuttle(inCredits int) *Shuttle {
@@ -49,7 +51,7 @@ func NewShuttle(inCredits int) *Shuttle {
 		in := sh.Sim.NewLink(fmt.Sprintf("src%d->sw.p%d", p, p), 1, inCredits)
 		out := sh.Sim.NewLink(fmt.Sprintf("sw.p%d->snk%d", p, p), 1, 8)
 		sh.Ports[p] = switches.PortIO{In: in, Out: out}
-		sh.Sim.AddComponent(&shuttleSink{link: out})
+		sh.Sim.AddComponent(&shuttleSink{link: out, worms: &sh.Worms})
 	}
 	sh.src = &shuttleSource{link: sh.Ports[0].In}
 	sh.Sim.AddComponent(sh.src)
@@ -60,22 +62,20 @@ func NewShuttle(inCredits int) *Shuttle {
 // previous one has drained, and returns the heap allocations per worm that
 // testing.AllocsPerRun measures over runs worms after a warm-up. A worm
 // with several destinations, or any worm when multicast is set, is a
-// multidestination worm. Two worms alternate, because a FIFO merges
-// consecutive flits of one worm.
+// multidestination worm. Every worm carries the same message and set.
 func (sh *Shuttle) AllocsPerWorm(t testing.TB, dests []int, multicast bool, runs int) float64 {
 	t.Helper()
-	var worms [2]*flit.Worm
-	for k := range worms {
-		msg := &flit.Message{ID: sh.IDs.Next(), Dests: dests, PayloadFlits: 16, HeaderFlits: 1,
-			Class: flit.ClassUnicast}
-		if multicast || len(dests) > 1 {
-			msg.Class = flit.ClassMulticast
-		}
-		worms[k] = &flit.Worm{ID: sh.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(sh.Net.N, dests), GoingUp: true}
+	msg := &flit.Message{ID: sh.IDs.Next(), Dests: dests, PayloadFlits: 16, HeaderFlits: 1,
+		Class: flit.ClassUnicast}
+	if multicast || len(dests) > 1 {
+		msg.Class = flit.ClassMulticast
 	}
+	set := bitset.FromSlice(sh.Net.N, dests)
 	sent := 0
 	send := func() {
-		sh.src.worm, sh.src.next = worms[sent%2], 0
+		w := sh.Worms.New()
+		*w = flit.Worm{ID: sh.IDs.Next(), Msg: msg, Dests: set, GoingUp: true}
+		sh.src.worm, sh.src.next = w, 0
 		sent++
 		for limit := sh.Sim.Now + 1_000; !sh.Sim.Quiesced(); sh.Sim.Step() {
 			if sh.Sim.Now >= limit {
@@ -107,13 +107,22 @@ func (s *shuttleSource) Step(now int64) {
 	}
 }
 
-// shuttleSink consumes one flit per cycle.
-type shuttleSink struct{ link *engine.Link }
+// shuttleSink consumes one flit per cycle and releases each worm at its
+// tail.
+type shuttleSink struct {
+	link  *engine.Link
+	worms *flit.WormArena
+}
 
 func (s *shuttleSink) Name() string   { return "sink" }
 func (s *shuttleSink) Quiesced() bool { return true }
 func (s *shuttleSink) Step(now int64) {
-	if _, ok := s.link.Take(now); ok {
-		s.link.ReturnCredit(now, 1)
+	r, ok := s.link.Take(now)
+	if !ok {
+		return
+	}
+	s.link.ReturnCredit(now, 1)
+	if r.Tail() {
+		s.worms.Release(r.W)
 	}
 }

@@ -38,7 +38,10 @@ const (
 // since a severed combining tree can never complete.
 //
 // The simulation runs with strict invariants: the switch's first accounting
-// violation (chunk or occupancy ledgers, reference counts) panics.
+// violation (chunk or occupancy ledgers, reference counts) panics. Worms
+// are pooled as in a full simulation: sources draw them from Worms, the
+// switch releases each worm whose tail it consumes, and sinks release the
+// switch's children at their tails.
 type Traffic struct {
 	Sim    *engine.Simulation
 	Net    *topology.Network
@@ -46,6 +49,7 @@ type Traffic struct {
 	Router *routing.Router
 	Ports  []switches.PortIO
 	IDs    engine.IDGen
+	Worms  flit.WormArena
 
 	// McastPorts masks the source ports that send multidestination worms
 	// (every port by default). Synchronous replication needs a single
@@ -66,9 +70,10 @@ type Traffic struct {
 }
 
 // New builds the fabric around the switch under test, which the caller
-// constructs over Ports (with Node, Router, IDs and Sim) and registers with
-// Sim.AddComponent. The switch has 2*arity ports; inCredits is its input
-// buffer size; faultAt is the first cycle the fault schedule may fire.
+// constructs over Ports (with Node, Router, IDs, Worms and Sim) and
+// registers with Sim.AddComponent. The switch has 2*arity ports; inCredits
+// is its input buffer size; faultAt is the first cycle the fault schedule
+// may fire.
 func New(seed uint64, arity, inCredits int, faultAt int64) *Traffic {
 	net, err := topology.NewKaryTree(arity, 2)
 	if err != nil {
@@ -184,13 +189,15 @@ func (tr *Traffic) queueData(port, src int, dests []int, up bool) {
 	if len(dests) > 1 {
 		msg.Class = flit.ClassMulticast
 	}
-	w := &flit.Worm{ID: tr.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(tr.Net.N, dests), GoingUp: up}
+	w := tr.Worms.New()
+	*w = flit.Worm{ID: tr.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(tr.Net.N, dests), GoingUp: up}
 	s.queue = append(s.queue, w)
 }
 
 func (tr *Traffic) queueToken(port int, dests []int) {
 	msg := &flit.Message{ID: tr.IDs.Next(), Dests: dests, Class: flit.ClassBarrier, HeaderFlits: 1, Op: tr.barrier}
-	w := &flit.Worm{ID: tr.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(tr.Net.N, dests)}
+	w := tr.Worms.New()
+	*w = flit.Worm{ID: tr.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(tr.Net.N, dests)}
 	tr.srcs[port].queue = append(tr.srcs[port].queue, w)
 }
 
@@ -230,7 +237,8 @@ func (s *source) Step(now int64) {
 	}
 }
 
-// sink consumes one flit per cycle, stalling at random.
+// sink consumes one flit per cycle, stalling at random, and releases each
+// worm at its tail.
 type sink struct {
 	tr           *Traffic
 	port         int
@@ -256,5 +264,8 @@ func (s *sink) Step(now int64) {
 	s.link.ReturnCredit(now, 1)
 	if r.W.Msg.Class == flit.ClassBarrier {
 		s.tr.tokenOut(s.port)
+	}
+	if r.Tail() {
+		s.tr.Worms.Release(r.W)
 	}
 }
