@@ -35,6 +35,18 @@ func FromSlice(n int, members []int) Set {
 	return s
 }
 
+// Over returns an empty set of capacity n stored in words, which must hold
+// at least (n+63)/64 words: a set in storage its caller owns. The set
+// aliases words, so the caller must not reuse them while the set is read.
+func Over(words []uint64, n int) Set {
+	if n < 0 {
+		panic("bitset: negative capacity")
+	}
+	w := words[:(n+wordBits-1)/wordBits]
+	clear(w)
+	return Set{words: w, n: n}
+}
+
 // Cap returns the capacity of the set (the exclusive upper bound on members).
 func (s Set) Cap() int { return s.n }
 

@@ -87,6 +87,20 @@ func TestOrInAndClone(t *testing.T) {
 	}
 }
 
+// TestOverUsesCallerWords checks that Over builds an empty set in the
+// caller's words, clearing what they held.
+func TestOverUsesCallerWords(t *testing.T) {
+	words := []uint64{^uint64(0), 5}
+	s := Over(words, 40)
+	if !s.Empty() || s.Cap() != 40 || len(s.Words()) != 1 || &s.Words()[0] != &words[0] {
+		t.Fatalf("Over gave %v cap %d over %d words", s, s.Cap(), len(s.Words()))
+	}
+	s.Add(39)
+	if words[0] != 1<<39 || words[1] != 5 {
+		t.Fatalf("words after Add = %x, want the set's bit in the first word only", words)
+	}
+}
+
 func TestEqualDifferentCaps(t *testing.T) {
 	a := FromSlice(10, []int{1, 5})
 	b := FromSlice(1000, []int{1, 5})

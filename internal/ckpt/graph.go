@@ -134,8 +134,9 @@ func (g *Graph) Encode(e *Enc) {
 			e.Bool(false)
 		} else {
 			e.Bool(true)
-			e.Int(len(m.Forward.Subtree))
-			for _, d := range m.Forward.Subtree {
+			sub := m.Forward.Subtree()
+			e.Int(len(sub))
+			for _, d := range sub {
 				e.Int(d)
 			}
 		}
@@ -212,10 +213,19 @@ func DecodeGraph(d *Dec) *Graph {
 				d.fail("message %d: %d forward subtree entries", m.ID, ns)
 				break
 			}
-			m.Forward = &flit.ForwardStep{Subtree: make([]int, ns)}
-			for k := range m.Forward.Subtree {
-				m.Forward.Subtree[k] = d.Int()
+			if len(m.Dests) == 0 {
+				d.fail("message %d: forwarding step with no recipient", m.ID)
+				break
 			}
+			// A step names its recipient's rank range in the op's group;
+			// the subtree alone rebuilds that range as [0, ns+1) of the
+			// group [recipient, subtree...], which plans the same sends.
+			group := make([]int, ns+1)
+			group[0] = m.Dests[0]
+			for k := 1; k <= ns; k++ {
+				group[k] = d.Int()
+			}
+			m.Forward = &flit.ForwardStep{Group: group, Hi: ns + 1}
 		}
 		if d.Err() != nil {
 			break

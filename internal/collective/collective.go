@@ -67,16 +67,9 @@ func (s Scheme) Encoding() flit.Encoding {
 	}
 }
 
-// Send is one transmission of a binomial distribution tree: the recipient
-// and the subtree of further destinations it becomes responsible for.
-type Send struct {
-	To      int
-	Subtree []int
-}
-
 // binomial defines the binomial tree over ranks [0, p) rooted at rank 0 that
 // every tree-shaped plan in this package uses: the software multicast's
-// distribution tree (BinomialSends, ValidateTree) and the combine and split
+// distribution tree (ForwardPlan, ValidateTree) and the combine and split
 // trees of collective schedules. It returns rank r's parent, r with its
 // lowest set bit cleared, and the end of r's subtree, the contiguous rank
 // range [r, end). r's children are r+k for every power of two k with
@@ -89,23 +82,15 @@ func binomial(r, p int) (parent, end int) {
 	return r - low, min(r+low, p)
 }
 
-// BinomialSends computes the sends the holder of the message must perform
-// for the group, where group[0] is the holder and group[1:] the
-// destinations it must cover, in schedule order (farthest subtree first, so
-// phases overlap). Each recipient then applies BinomialSends to
-// [recipient, subtree...].
-func BinomialSends(group []int) []Send {
-	g := len(group)
+// firstSend returns the rank offset of the first send of a holder whose
+// range spans g ranks, itself included: the largest power of two below g,
+// or 0 when the holder has nothing to send. Each later send halves it, so
+// the farthest subtree goes first and phases overlap.
+func firstSend(g int) int {
 	if g <= 1 {
-		return nil
+		return 0
 	}
-	phases := BinomialPhases(g - 1)
-	sends := make([]Send, 0, phases)
-	for k := 1 << (phases - 1); k >= 1; k >>= 1 {
-		_, end := binomial(k, g)
-		sends = append(sends, Send{To: group[k], Subtree: group[k+1 : end]})
-	}
-	return sends
+	return 1 << (bits.Len(uint(g-1)) - 1)
 }
 
 // BinomialPhases returns the phase count of a binomial multicast to d
@@ -117,17 +102,20 @@ func BinomialPhases(d int) int {
 	return bits.Len(uint(d))
 }
 
-// MessageFactory constructs fully-formed messages (the simulator core
-// implements it, filling in header sizes and identifiers).
+// MessageFactory constructs messages (the simulator core implements it,
+// filling in header sizes and identifiers). A planner gives the message it
+// gets back its forwarding step (flit.Message.SetForward).
 type MessageFactory interface {
 	NewMessage(src int, dests []int, class flit.Class, payload int,
-		op *flit.Op, fwd *flit.ForwardStep, now int64) *flit.Message
+		op *flit.Op, now int64) *flit.Message
 }
 
 // Plan returns the messages the source must inject, in order, to start the
 // multicast described by op under the given scheme. For SoftwareBinomial the
 // messages carry ForwardSteps that receivers use to continue the tree.
-// dests must be non-empty and exclude src. Plan also sets op.Phases.
+// dests must be non-empty and exclude src. Plan also sets op.Phases and,
+// except for multiport covers, the op's group (flit.Op.SetGroup), of which
+// each message's destinations are a sub-slice.
 func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
 	src int, dests []int, payload int, op *flit.Op, now int64) ([]*flit.Message, error) {
 
@@ -146,7 +134,8 @@ func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
 	switch scheme {
 	case HardwareBitString:
 		op.Phases = 1
-		m := f.NewMessage(src, append([]int(nil), dests...), flit.ClassMulticast, payload, op, nil, now)
+		group := op.SetGroup(dests, false)
+		m := f.NewMessage(src, group[1:], flit.ClassMulticast, payload, op, now)
 		return []*flit.Message{m}, nil
 
 	case HardwareMultiport:
@@ -157,21 +146,22 @@ func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
 		op.Phases = len(cover)
 		msgs := make([]*flit.Message, len(cover))
 		for i, ps := range cover {
-			msgs[i] = f.NewMessage(src, ps.Dests(net.Arity), flit.ClassMulticast, payload, op, nil, now)
+			msgs[i] = f.NewMessage(src, ps.Dests(net.Arity), flit.ClassMulticast, payload, op, now)
 		}
 		return msgs, nil
 
 	case SoftwareBinomial:
-		sorted := append([]int(nil), dests...)
-		sort.Ints(sorted)
+		group := op.SetGroup(dests, true)
 		op.Phases = BinomialPhases(len(dests))
-		return ForwardPlan(f, src, sorted, payload, op, now), nil
+		msgs := make([]*flit.Message, 0, op.Phases)
+		return ForwardPlan(msgs, f, flit.ForwardStep{Group: group, Hi: len(group)}, payload, op, now), nil
 
 	case SoftwareSeparate:
 		op.Phases = len(dests)
+		group := op.SetGroup(dests, false)
 		msgs := make([]*flit.Message, len(dests))
-		for i, d := range dests {
-			msgs[i] = f.NewMessage(src, []int{d}, flit.ClassUnicast, payload, op, nil, now)
+		for i := range dests {
+			msgs[i] = f.NewMessage(src, group[i+1:i+2:i+2], flit.ClassUnicast, payload, op, now)
 		}
 		return msgs, nil
 
@@ -180,48 +170,54 @@ func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
 	}
 }
 
-// ForwardPlan returns the messages a software-multicast recipient at node
-// self must inject to cover its subtree.
-func ForwardPlan(f MessageFactory, self int, subtree []int, payload int,
+// ForwardPlan appends to msgs the messages that the holder of fwd,
+// fwd.Group[fwd.Lo], must inject to cover its subtree, in schedule order.
+// Each message's Dests is its recipient's one-rank sub-slice of the group,
+// and a recipient with a subtree of its own gets that subtree's rank range
+// as its forwarding step, so the plan allocates nothing beyond what f and
+// growing msgs do.
+func ForwardPlan(msgs []*flit.Message, f MessageFactory, fwd flit.ForwardStep, payload int,
 	op *flit.Op, now int64) []*flit.Message {
 
-	group := append([]int{self}, subtree...)
-	sends := BinomialSends(group)
-	msgs := make([]*flit.Message, len(sends))
-	for i, snd := range sends {
-		var fwd *flit.ForwardStep
-		if len(snd.Subtree) > 0 {
-			fwd = &flit.ForwardStep{Subtree: append([]int(nil), snd.Subtree...)}
-		}
-		msgs[i] = f.NewMessage(self, []int{snd.To}, flit.ClassUnicast, payload, op, fwd, now)
+	self := fwd.Group[fwd.Lo]
+	g := fwd.Hi - fwd.Lo
+	for k := firstSend(g); k > 0; k >>= 1 {
+		_, end := binomial(k, g)
+		to := fwd.Lo + k
+		m := f.NewMessage(self, fwd.Group[to:to+1:to+1], flit.ClassUnicast, payload, op, now)
+		m.SetForward(flit.ForwardStep{Group: fwd.Group, Lo: to, Hi: fwd.Lo + end})
+		msgs = append(msgs, m)
 	}
 	return msgs
 }
 
 // ValidateTree checks that a binomial plan rooted at src covers every
-// destination exactly once, returning the per-node receive phase. It is used
-// by tests and by the topology inspection tool.
+// destination exactly once, returning the per-node receive phase. It walks
+// the same rank ranges ForwardPlan sends over. It is used by tests and by
+// the topology inspection tool.
 func ValidateTree(src int, dests []int) (map[int]int, error) {
-	sorted := append([]int(nil), dests...)
-	sort.Ints(sorted)
+	group := append([]int{src}, dests...)
+	sort.Ints(group[1:])
 	phase := map[int]int{}
 	type item struct {
-		holder  int
-		subtree []int
-		at      int // phase at which holder acquired the message
+		lo, hi int // the holder's rank range in group
+		at     int // phase at which the holder acquired the message
 	}
-	work := []item{{holder: src, subtree: sorted, at: 0}}
+	work := []item{{lo: 0, hi: len(group), at: 0}}
 	for len(work) > 0 {
 		it := work[0]
 		work = work[1:]
-		sends := BinomialSends(append([]int{it.holder}, it.subtree...))
-		for i, snd := range sends {
-			recvPhase := it.at + i + 1 // the holder's sends are serialized
-			if _, dup := phase[snd.To]; dup {
-				return nil, fmt.Errorf("collective: node %d covered twice", snd.To)
+		recvPhase := it.at
+		g := it.hi - it.lo
+		for k := firstSend(g); k > 0; k >>= 1 {
+			_, end := binomial(k, g)
+			recvPhase++ // the holder's sends are serialized
+			to := group[it.lo+k]
+			if _, dup := phase[to]; dup {
+				return nil, fmt.Errorf("collective: node %d covered twice", to)
 			}
-			phase[snd.To] = recvPhase
-			work = append(work, item{holder: snd.To, subtree: snd.Subtree, at: recvPhase})
+			phase[to] = recvPhase
+			work = append(work, item{lo: it.lo + k, hi: it.lo + end, at: recvPhase})
 		}
 	}
 	if len(phase) != len(dests) {

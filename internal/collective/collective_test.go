@@ -13,11 +13,11 @@ import (
 type fakeFactory struct{ n uint64 }
 
 func (f *fakeFactory) NewMessage(src int, dests []int, class flit.Class, payload int,
-	op *flit.Op, fwd *flit.ForwardStep, now int64) *flit.Message {
+	op *flit.Op, now int64) *flit.Message {
 	f.n++
 	return &flit.Message{
 		ID: f.n, Src: src, Dests: dests, Class: class,
-		PayloadFlits: payload, HeaderFlits: 1, Created: now, Op: op, Forward: fwd,
+		PayloadFlits: payload, HeaderFlits: 1, Created: now, Op: op,
 	}
 }
 
@@ -31,18 +31,20 @@ func TestBinomialPhases(t *testing.T) {
 }
 
 func TestBinomialSendsSmall(t *testing.T) {
-	// group = holder + 3: holder sends to positions 2 then 1.
-	sends := BinomialSends([]int{10, 11, 12, 13})
+	// group = holder + 3: holder sends to ranks 2 then 1.
+	group := []int{10, 11, 12, 13}
+	sends := ForwardPlan(nil, &fakeFactory{}, flit.ForwardStep{Group: group, Hi: 4}, 1, nil, 0)
 	if len(sends) != 2 {
 		t.Fatalf("sends = %v", sends)
 	}
-	if sends[0].To != 12 || len(sends[0].Subtree) != 1 || sends[0].Subtree[0] != 13 {
+	if f := sends[0].Forward; sends[0].Dests[0] != 12 || f == nil || f.Lo != 2 || f.Hi != 4 ||
+		len(f.Subtree()) != 1 || f.Subtree()[0] != 13 {
 		t.Fatalf("first send wrong: %+v", sends[0])
 	}
-	if sends[1].To != 11 || len(sends[1].Subtree) != 0 {
+	if sends[1].Dests[0] != 11 || sends[1].Forward != nil {
 		t.Fatalf("second send wrong: %+v", sends[1])
 	}
-	if BinomialSends([]int{5}) != nil {
+	if ForwardPlan(nil, &fakeFactory{}, flit.ForwardStep{Group: []int{5}, Hi: 1}, 1, nil, 0) != nil {
 		t.Fatal("lone holder has sends")
 	}
 }
@@ -198,7 +200,10 @@ func TestPlanSoftwareBinomial(t *testing.T) {
 		if fwd == nil {
 			return
 		}
-		for _, m := range ForwardPlan(fac, to, fwd.Subtree, 64, op, 0) {
+		if fwd.Group[fwd.Lo] != to {
+			t.Fatalf("step names holder %d, delivered to %d", fwd.Group[fwd.Lo], to)
+		}
+		for _, m := range ForwardPlan(nil, fac, *fwd, 64, op, 0) {
 			if m.Class != flit.ClassUnicast || len(m.Dests) != 1 {
 				t.Fatal("forward plan produced non-unicast")
 			}

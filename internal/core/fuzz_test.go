@@ -125,9 +125,15 @@ func TestDeliveryExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[*flit.Message][]int{}
+	// Messages go back to the simulation's pool once delivered, so record
+	// them by ID and copy their destinations at first delivery.
+	got := map[uint64][]int{}
+	destsOf := map[uint64][]int{}
 	sim.deliverHook = func(m *flit.Message, proc int, now int64) {
-		got[m] = append(got[m], proc)
+		if _, seen := destsOf[m.ID]; !seen {
+			destsOf[m.ID] = append([]int(nil), m.Dests...)
+		}
+		got[m.ID] = append(got[m.ID], proc)
 	}
 	res, err := sim.Run()
 	if err != nil {
@@ -137,22 +143,23 @@ func TestDeliveryExactness(t *testing.T) {
 	if gen == 0 {
 		t.Fatal("no traffic generated")
 	}
-	for m, nodes := range got {
+	for id, nodes := range got {
+		dests := destsOf[id]
 		want := map[int]bool{}
-		for _, d := range m.Dests {
+		for _, d := range dests {
 			want[d] = true
 		}
-		if len(nodes) != len(m.Dests) {
+		if len(nodes) != len(dests) {
 			t.Fatalf("message %d delivered %d times for %d destinations",
-				m.ID, len(nodes), len(m.Dests))
+				id, len(nodes), len(dests))
 		}
 		seen := map[int]bool{}
 		for _, p := range nodes {
 			if !want[p] {
-				t.Fatalf("message %d delivered to non-destination %d (dests %v)", m.ID, p, m.Dests)
+				t.Fatalf("message %d delivered to non-destination %d (dests %v)", id, p, dests)
 			}
 			if seen[p] {
-				t.Fatalf("message %d delivered twice to %d", m.ID, p)
+				t.Fatalf("message %d delivered twice to %d", id, p)
 			}
 			seen[p] = true
 		}

@@ -29,8 +29,7 @@ type Simulator struct {
 	gen    *traffic.Generator
 	col    stats.Collector
 	ids    engine.IDGen
-	ops    flit.OpArena
-	worms  flit.WormArena // the only worm pool; every switch and NIC shares it
+	worms  flit.WormArena // the only pool of worms, messages and ops; every switch and NIC shares it
 	fac    *factory       // built once; every NIC and inject shares it
 
 	// ports holds each switch's per-port link pair; the fault driver uses
@@ -63,28 +62,28 @@ type Simulator struct {
 	deliverHook func(m *flit.Message, proc int, now int64)
 }
 
-// factory builds messages with configuration-derived header sizes.
+// factory builds messages from the simulation's pool, with
+// configuration-derived header sizes.
 type factory struct {
-	cfg *Config
-	net *topology.Network
-	ids *engine.IDGen
+	cfg  *Config
+	net  *topology.Network
+	ids  *engine.IDGen
+	pool *flit.WormArena
 }
 
 // NewMessage implements collective.MessageFactory.
 func (f *factory) NewMessage(src int, dests []int, class flit.Class, payload int,
-	op *flit.Op, fwd *flit.ForwardStep, now int64) *flit.Message {
+	op *flit.Op, now int64) *flit.Message {
 
-	return &flit.Message{
-		ID:           f.ids.Next(),
-		Src:          src,
-		Dests:        dests,
-		Class:        class,
-		PayloadFlits: payload,
-		HeaderFlits:  f.cfg.headerFlitsFor(class, f.net),
-		Created:      now,
-		Op:           op,
-		Forward:      fwd,
-	}
+	m := f.pool.NewMessage(op)
+	m.ID = f.ids.Next()
+	m.Src = src
+	m.Dests = dests
+	m.Class = class
+	m.PayloadFlits = payload
+	m.HeaderFlits = f.cfg.headerFlitsFor(class, f.net)
+	m.Created = now
+	return m
 }
 
 // New builds a simulator from the configuration (normalizing buffer sizes to
@@ -132,7 +131,7 @@ func (s *Simulator) switchCredits() int {
 func (s *Simulator) build() {
 	cfg := &s.cfg
 	rootRNG := engine.NewRNG(cfg.Seed ^ 0xabcdef)
-	s.fac = &factory{cfg: cfg, net: s.net, ids: &s.ids}
+	s.fac = &factory{cfg: cfg, net: s.net, ids: &s.ids, pool: &s.worms}
 
 	// Per-switch port IO, filled as links are created.
 	ports := make([][]switches.PortIO, len(s.net.Switches))
@@ -397,9 +396,17 @@ func (s *Simulator) onDelivered(m *flit.Message, at *nic.NIC, now int64) {
 }
 
 // opCompleted retires an operation whose every destination is delivered or
-// accounted dropped. Degraded ops (any drops) yield no latency samples: a
-// partial last-arrival time is not comparable to a healthy one.
+// accounted dropped, then drops the op's completion hold: a pool-made op
+// goes back to the pool once no message names it either, so nothing may
+// read op past this call.
 func (s *Simulator) opCompleted(op *flit.Op) {
+	s.retire(op)
+	s.worms.ReleaseOp(op)
+}
+
+// retire accounts a completed op. Degraded ops (any drops) yield no latency
+// samples: a partial last-arrival time is not comparable to a healthy one.
+func (s *Simulator) retire(op *flit.Op) {
 	s.outstanding--
 	if op.Dropped > 0 {
 		s.col.OpsDegraded++
@@ -442,53 +449,57 @@ func (s *Simulator) onWormDrop(m *flit.Message, ndests int, now int64) {
 
 // StartOp creates and injects one operation from src to dests at the
 // current cycle, using the configured scheme for multicasts. It returns the
-// op for completion tracking.
+// op for completion tracking. The op is the caller's: it never goes back to
+// the simulation's pool, so it may be read after completion.
 func (s *Simulator) StartOp(src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
-	op, err := s.inject(src, dests, multicast, payload)
+	return s.startOp(nil, src, dests, multicast, payload)
+}
+
+// startOp is StartOp with the op drawn from pool: the simulation's pool for
+// generated traffic, whose ops go back to it once finished with, or nil for
+// an op the caller keeps.
+func (s *Simulator) startOp(pool *flit.WormArena, src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
+	op, err := s.inject(pool, src, dests, multicast, payload)
 	if err == nil && s.col.InWindow(op.Created) {
 		s.col.Class(multicast).OpsGenerated++
 	}
 	return op, err
 }
 
-// startCollectiveStep injects one collective schedule step as an op at the
-// current cycle. Unlike StartOp it attributes nothing to the windowed class
-// collectors: collective steps are measured per rep by the driver.
+// startCollectiveStep injects one collective schedule step as a pool-made
+// op at the current cycle. Unlike StartOp it attributes nothing to the
+// windowed class collectors: collective steps are measured per rep by the
+// driver.
 func (s *Simulator) startCollectiveStep(st collective.Step) (*flit.Op, error) {
-	dests := st.Dests
-	if !st.Multicast {
-		// A unicast message keeps its dests; the schedule is reused every rep.
-		dests = append([]int(nil), dests...)
-	}
-	return s.inject(st.Src, dests, st.Multicast, st.Payload)
+	return s.inject(&s.worms, st.Src, st.Dests, st.Multicast, st.Payload)
 }
 
-// inject creates one op from src to dests at the current cycle, planned
-// under the configured scheme when multicast, and submits its messages to
-// the source NIC. A unicast op needs exactly one destination and its
-// message keeps dests.
-func (s *Simulator) inject(src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
+// inject creates one op from src to dests at the current cycle, drawn from
+// pool (nil allocates it on the heap), planned under the configured scheme
+// when multicast, and submits its messages to the source NIC. A unicast op
+// needs exactly one destination. The op copies dests into its group, so the
+// caller may reuse them.
+func (s *Simulator) inject(pool *flit.WormArena, src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
 	now := s.sim.Now
 	class := flit.ClassUnicast
 	if multicast {
 		class = flit.ClassMulticast
 	}
-	op := s.ops.New(s.ids.Next(), class, src, len(dests), now)
-	var msgs []*flit.Message
+	op := pool.NewOp(s.ids.Next(), class, src, len(dests), now)
 	if multicast {
-		var err error
-		msgs, err = collective.Plan(s.cfg.Scheme, s.net, s.fac, src, dests, payload, op, now)
+		msgs, err := collective.Plan(s.cfg.Scheme, s.net, s.fac, src, dests, payload, op, now)
 		if err != nil {
 			return nil, err
 		}
+		s.nics[src].Submit(msgs...)
 	} else {
 		if len(dests) != 1 {
 			return nil, fmt.Errorf("core: unicast op needs exactly one destination")
 		}
 		op.Phases = 1
-		msgs = []*flit.Message{s.fac.NewMessage(src, dests, class, payload, op, nil, now)}
+		group := op.SetGroup(dests, false)
+		s.nics[src].Submit(s.fac.NewMessage(src, group[1:], class, payload, op, now))
 	}
-	s.nics[src].Submit(msgs...)
 	s.outstanding++
 	if s.sim.Tracing() {
 		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceOpStart, Actor: "core", Op: op.ID,
@@ -507,7 +518,7 @@ func (s *Simulator) generate() error {
 		if !ok {
 			continue
 		}
-		if _, err := s.StartOp(req.Src, req.Dests, req.Multicast, req.Payload); err != nil {
+		if _, err := s.startOp(&s.worms, req.Src, req.Dests, req.Multicast, req.Payload); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ package flit
 
 import (
 	"fmt"
+	"slices"
 
 	"mdworm/internal/bitset"
 )
@@ -47,10 +48,18 @@ func (c Class) String() string {
 // issue several unicast Messages per collective operation; hardware schemes
 // issue one multidestination Message.
 type Message struct {
-	ID           uint64
-	Src          int
-	Dests        []int // final destination processors of this message
-	Class        Class
+	ID    uint64
+	Src   int
+	Dests []int // final destination processors of this message; never modified
+	Class Class
+
+	// pooled marks a message made by the simulation's pool (WormArena),
+	// which takes it back once holders, its live worms plus the forwarding
+	// tasks that still need it, drops to zero. Both are derived state that
+	// checkpoints never write.
+	pooled  bool
+	holders int32
+
 	PayloadFlits int
 	HeaderFlits  int
 
@@ -68,26 +77,77 @@ type Message struct {
 	// Forward, when non-nil, is consulted by the receiving NIC of a
 	// software-multicast message to continue the distribution tree.
 	Forward *ForwardStep
+
+	// fwd and rootWord are storage inside the message, so filling them
+	// allocates nothing: fwd backs Forward (SetForward), and rootWord the
+	// destination set of the root worm (RootDests). next links the message
+	// into its pool's free list while it waits there.
+	fwd      ForwardStep
+	rootWord [1]uint64
+	next     *Message
 }
 
 // Len returns the total number of flits of the message on the wire.
 func (m *Message) Len() int { return m.HeaderFlits + m.PayloadFlits }
 
-// ForwardStep describes the remaining work a software-multicast recipient
-// must perform: the subtree of destinations it becomes responsible for.
-type ForwardStep struct {
-	// Subtree lists the destinations (excluding the receiver itself) that
-	// the receiver must cover with further sends.
-	Subtree []int
+// SetForward makes m carry fwd, in storage m owns, so setting it allocates
+// nothing. A step whose subtree is empty leaves m with no forwarding work.
+func (m *Message) SetForward(fwd ForwardStep) {
+	if fwd.Hi-fwd.Lo <= 1 {
+		m.Forward = nil
+		return
+	}
+	m.fwd = fwd
+	m.Forward = &m.fwd
 }
+
+// RootDests returns m's destinations as a set of capacity n, for the root
+// worm the source NIC injects. A set of up to 64 processors lives in a word
+// m keeps, so building it allocates nothing; forks share the set, but every
+// worm that can name it carries m, and m goes back to its pool only after
+// the last of them is released. A wider set is allocated.
+func (m *Message) RootDests(n int) bitset.Set {
+	if n > 64*len(m.rootWord) {
+		return bitset.FromSlice(n, m.Dests)
+	}
+	s := bitset.Over(m.rootWord[:], n)
+	for _, d := range m.Dests {
+		s.Add(d)
+	}
+	return s
+}
+
+// ForwardStep describes the remaining work a software-multicast recipient
+// must perform. A binomial tree makes every subtree a contiguous range of
+// ranks in its group, so a step names the group and a range instead of
+// copying the subtree: the recipient is Group[Lo], and Group[Lo+1:Hi] are
+// the destinations it must cover with further sends. A planned step's
+// group is its op's, [src, sorted dests...], shared by all of the op's
+// messages (a step restored from a checkpoint heads a group of its own);
+// nothing may modify it.
+type ForwardStep struct {
+	Group  []int
+	Lo, Hi int
+}
+
+// Subtree returns the destinations the recipient must cover, excluding
+// itself. The slice aliases Group.
+func (f *ForwardStep) Subtree() []int { return f.Group[f.Lo+1 : f.Hi] }
 
 // Op aggregates delivery of a collective operation (or a single unicast).
 // The simulator records one latency sample per Op using the last-arrival
 // definition of Nupairoj and Ni: latency is measured from Op creation to the
 // arrival of the tail flit at the last destination.
 type Op struct {
-	ID       uint64
-	Class    Class
+	ID    uint64
+	Class Class
+
+	// pooled marks an op made by the simulation's pool, which takes it
+	// back once holders, its live pool-made messages plus the simulator's
+	// completion hold, drops to zero. Derived state, never checkpointed.
+	pooled  bool
+	holders int32
+
 	Src      int
 	NumDests int
 	Created  int64
@@ -105,6 +165,12 @@ type Op struct {
 	// op still completes — delivered and dropped destinations sum to
 	// NumDests — but yields no latency sample.
 	Dropped int
+
+	// group is the op's destination group (SetGroup), in storage the op
+	// keeps across reuse. next links the op into its pool's free list while
+	// it waits there.
+	group []int
+	next  *Op
 }
 
 // NewOp creates an Op expecting delivery at numDests destinations.
@@ -117,6 +183,20 @@ func NewOp(id uint64, class Class, src, numDests int, created int64) *Op {
 		Created:   created,
 		remaining: numDests,
 	}
+}
+
+// SetGroup records the op's group, [Src, dests...], in storage the op keeps
+// across reuse, sorting the destinations when sorted is set, and returns it.
+// Every message of the op names a sub-slice of the group as its Dests (and
+// its forwarding step's Group), so the group is set once, when the op is
+// planned, and never changes while a message names the op.
+func (o *Op) SetGroup(dests []int, sorted bool) []int {
+	g := append(append(o.group[:0], o.Src), dests...)
+	if sorted {
+		slices.Sort(g[1:])
+	}
+	o.group = g
+	return g
 }
 
 // Remaining returns the number of destinations that have not yet received
@@ -170,7 +250,7 @@ func DropCost(w *Worm, dropped bitset.Set) int {
 	}
 	m := w.Msg
 	if m.Forward != nil && len(m.Dests) > 0 && dropped.Has(m.Dests[0]) {
-		n += len(m.Forward.Subtree)
+		n += len(m.Forward.Subtree())
 	}
 	return n
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"slices"
 
-	"mdworm/internal/bitset"
 	"mdworm/internal/collective"
 	"mdworm/internal/engine"
 	"mdworm/internal/flit"
@@ -60,6 +59,9 @@ type Stats struct {
 	OverheadCycles    int64
 }
 
+// fwdTask is a received software-multicast message waiting out the receive
+// overhead before its subtree is forwarded. The task holds its message in
+// the simulation's pool until it has planned the sends.
 type fwdTask struct {
 	msg     *flit.Message
 	readyAt int64
@@ -73,7 +75,7 @@ type NIC struct {
 	eject   *engine.Link
 	cfg     Config
 	ids     *engine.IDGen
-	worms   *flit.WormArena // the simulation's worm pool; nil when standalone
+	worms   *flit.WormArena // the simulation's pool; nil when standalone
 	sim     *engine.Simulation
 	factory collective.MessageFactory
 	onDelv  DeliveredFunc
@@ -97,9 +99,10 @@ type NIC struct {
 
 // New creates a NIC for processor proc in a system of n processors.
 // inject carries flits toward the switch; eject carries flits from it.
-// worms is the simulation's worm pool: the NIC injects worms from it and
-// releases each worm it receives once the delivery callback returns. A
-// standalone NIC, whose driver keeps the worms it sends in, gets nil.
+// worms is the simulation's pool: the NIC injects worms from it and
+// releases each worm it receives once the delivery callback returns, and
+// its forwarding tasks hold their messages in it. A standalone NIC, whose
+// driver keeps the worms and messages it sends in, gets nil.
 func New(cfg Config, proc, n int, inject, eject *engine.Link,
 	ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation,
 	factory collective.MessageFactory, onDelivered DeliveredFunc) *NIC {
@@ -150,11 +153,20 @@ func (nc *NIC) QueueLen() int {
 	return q
 }
 
+// PendingForwards returns how many received software-multicast messages
+// wait out the receive overhead before their subtrees are forwarded.
+func (nc *NIC) PendingForwards() int { return len(nc.tasks) }
+
 // Submit enqueues messages for injection, in order. It re-arms the NIC in
 // the scheduler: a submit is out-of-band stimulation the link fabric cannot
 // see, so an idle (skipped) NIC must be woken explicitly.
 func (nc *NIC) Submit(msgs ...*flit.Message) {
 	nc.sendQ = append(nc.sendQ, msgs...)
+	nc.queued()
+}
+
+// queued accounts messages just appended to the send queue.
+func (nc *NIC) queued() {
 	if len(nc.sendQ) > nc.stats.SendQueueMax {
 		nc.stats.SendQueueMax = len(nc.sendQ)
 	}
@@ -217,7 +229,8 @@ func (nc *NIC) stepEject(now int64) {
 		nc.sim.Emit(engine.TraceEvent{Kind: engine.TraceDeliver, Actor: nc.Name(),
 			Msg: m.ID, Worm: w.ID, Op: opID})
 	}
-	if m.Forward != nil && len(m.Forward.Subtree) > 0 {
+	if m.Forward != nil && len(m.Forward.Subtree()) > 0 {
+		nc.worms.Hold(m)
 		nc.tasks = append(nc.tasks, fwdTask{msg: m, readyAt: now + int64(nc.cfg.RecvOverhead)})
 	}
 	if nc.onDelv != nil {
@@ -237,15 +250,18 @@ func (nc *NIC) stepForward(now int64) {
 			kept = append(kept, t)
 			continue
 		}
-		msgs := collective.ForwardPlan(nc.factory, nc.proc, t.msg.Forward.Subtree,
+		queued := len(nc.sendQ)
+		nc.sendQ = collective.ForwardPlan(nc.sendQ, nc.factory, *t.msg.Forward,
 			t.msg.PayloadFlits, t.msg.Op, now)
-		nc.Submit(msgs...)
-		nc.stats.ForwardedMsgs += int64(len(msgs))
+		sends := len(nc.sendQ) - queued
+		nc.queued()
+		nc.stats.ForwardedMsgs += int64(sends)
 		if nc.sim.Tracing() {
 			nc.sim.Emit(engine.TraceEvent{Kind: engine.TraceForward, Actor: nc.Name(),
 				Msg: t.msg.ID, Op: t.msg.Op.ID,
-				Detail: fmt.Sprintf("subtree=%v sends=%d", t.msg.Forward.Subtree, len(msgs))})
+				Detail: fmt.Sprintf("subtree=%v sends=%d", t.msg.Forward.Subtree(), sends)})
 		}
+		nc.worms.ReleaseMessage(t.msg)
 		nc.sim.Progress()
 	}
 	nc.tasks = kept
@@ -283,14 +299,14 @@ func (nc *NIC) stepInject(now int64) {
 		m := nc.sendQ[0]
 		nc.sendQ = slices.Delete(nc.sendQ, 0, 1)
 		nc.overheadSpent = false
-		dests := bitset.FromSlice(nc.n, m.Dests)
 		nc.curWorm = nc.worms.New()
 		*nc.curWorm = flit.Worm{
 			ID:      nc.ids.Next(),
 			Msg:     m,
-			Dests:   dests,
+			Dests:   m.RootDests(nc.n),
 			GoingUp: true,
 		}
+		nc.worms.Hold(m)
 		nc.curIdx = 0
 		m.InjectedAt = now
 		if m.Op != nil {
@@ -340,7 +356,7 @@ func (nc *NIC) dropPending(now int64) {
 func (nc *NIC) dropMessage(m *flit.Message, now int64) {
 	n := len(m.Dests)
 	if m.Forward != nil {
-		n += len(m.Forward.Subtree)
+		n += len(m.Forward.Subtree())
 	}
 	nc.stats.MessagesDropped++
 	if nc.sim.Tracing() {

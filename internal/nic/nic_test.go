@@ -12,10 +12,10 @@ import (
 type testFactory struct{ ids *engine.IDGen }
 
 func (f *testFactory) NewMessage(src int, dests []int, class flit.Class, payload int,
-	op *flit.Op, fwd *flit.ForwardStep, now int64) *flit.Message {
+	op *flit.Op, now int64) *flit.Message {
 	return &flit.Message{
 		ID: f.ids.Next(), Src: src, Dests: dests, Class: class,
-		PayloadFlits: payload, HeaderFlits: 1, Created: now, Op: op, Forward: fwd,
+		PayloadFlits: payload, HeaderFlits: 1, Created: now, Op: op,
 	}
 }
 
@@ -68,7 +68,9 @@ func (e *env) newMsg(dests []int, payload int, op *flit.Op, fwd *flit.ForwardSte
 	if len(dests) > 1 {
 		class = flit.ClassMulticast
 	}
-	return fac.NewMessage(3, dests, class, payload, op, fwd, e.sim.Now)
+	m := fac.NewMessage(3, dests, class, payload, op, e.sim.Now)
+	m.Forward = fwd
+	return m
 }
 
 func TestInjectPaysSendOverhead(t *testing.T) {
@@ -171,8 +173,9 @@ func TestForwardingAfterRecvOverhead(t *testing.T) {
 	cfg.SendOverhead = 0
 	e := newEnv(t, cfg)
 	op := flit.NewOp(1, flit.ClassMulticast, 9, 4, 0)
-	// Node 3 receives and must cover subtree {5, 7, 8}.
-	m := e.newMsg([]int{3}, 6, op, &flit.ForwardStep{Subtree: []int{5, 7, 8}})
+	// Node 3 receives and must cover subtree {5, 7, 8}: ranks 1..3 of the
+	// group it heads.
+	m := e.newMsg([]int{3}, 6, op, &flit.ForwardStep{Group: []int{3, 5, 7, 8}, Hi: 4})
 	m.Src = 9
 	e.feedWorm(t, m)
 	recvAt := e.sim.Now

@@ -2,6 +2,7 @@ package centralbuf
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mdworm/internal/ckpt"
@@ -113,4 +114,34 @@ func restoreTwin(t *testing.T, s *Switch, cfg Config, tr *switchtest.Traffic) *S
 		t.Fatalf("restore: graph %v, state %v", gd.Err(), d.Err())
 	}
 	return twin
+}
+
+// TestDumpSinkingInput dumps the switch on every cycle that an input sinks
+// a worm whose branches all died, under the traffic of
+// TestActivityBitmapsCoverWork's 8-port case, and checks that the dump
+// names the mode. Failing tests print Dump, so it must render every mode.
+func TestDumpSinkingInput(t *testing.T) {
+	cfg := testConfig()
+	tr := switchtest.New(11, 4, cfg.InFIFOFlits, 20_000)
+	sw := New(cfg, tr.Node, tr.Router, tr.Ports, engine.NewRNG(1), &tr.IDs, &tr.Worms, tr.Sim)
+	tr.Sim.AddComponent(sw)
+	dumps := 0
+	tr.Run(t, sw, 30_000, func(now int64) {
+		for i := range sw.in {
+			if sw.in[i].mode != modeSink {
+				continue
+			}
+			want := fmt.Sprintf("in%d mode=sink", i)
+			if d := sw.Dump(); !strings.Contains(d, want) {
+				t.Fatalf("cycle %d: dump lacks %q:\n%s", now, want, d)
+			}
+			dumps++
+		}
+	})
+	if dumps == 0 {
+		t.Fatal("no input sank a worm")
+	}
+	if got := inputMode(200).String(); got != "mode(200)" {
+		t.Fatalf("unknown mode renders as %q", got)
+	}
 }

@@ -144,6 +144,24 @@ const (
 	modeSink
 )
 
+var inputModeNames = [...]string{
+	modeIdle:    "idle",
+	modeHeader:  "header",
+	modeDecode:  "decode",
+	modeReserve: "reserve",
+	modeBypass:  "bypass",
+	modeWrite:   "write",
+	modeSink:    "sink",
+}
+
+// String names the mode for diagnostics.
+func (m inputMode) String() string {
+	if int(m) < len(inputModeNames) {
+		return inputModeNames[m]
+	}
+	return fmt.Sprintf("mode(%d)", uint8(m))
+}
+
 type inputState struct {
 	q          switches.FIFO
 	mode       inputMode

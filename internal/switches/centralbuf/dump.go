@@ -12,14 +12,13 @@ func (s *Switch) Dump() string {
 	fmt.Fprintf(&b, "%s free=[up:%d down:%d] inUse=%d pending=[up:%d down:%d] livePB=%d\n",
 		s.Name(), s.free[poolUp], s.free[poolDown], s.chunksInUse,
 		len(s.pendingRes[poolUp]), len(s.pendingRes[poolDown]), s.livePB)
-	modeNames := []string{"idle", "header", "decode", "reserve", "bypass", "write"}
 	outModes := []string{"idle", "bypass", "cb"}
 	for i := range s.in {
 		in := &s.in[i]
 		if in.mode == modeIdle && in.q.Empty() {
 			continue
 		}
-		fmt.Fprintf(&b, "  in%d mode=%s qlen=%d", i, modeNames[in.mode], in.q.Len())
+		fmt.Fprintf(&b, "  in%d mode=%s qlen=%d", i, in.mode, in.q.Len())
 		if in.worm != nil {
 			fmt.Fprintf(&b, " worm=%d(msg%d,%s,len%d)", in.worm.ID, in.worm.Msg.ID, in.worm.Msg.Class, in.worm.Len())
 		}

@@ -41,8 +41,8 @@ type Planned struct {
 // forks one child worm per branch, appending the branches to plans. dec is
 // the switch's routing scratch, refilled on every call; plans is storage
 // the caller owns and reuses, so a decode allocates only the child worms
-// (from worms, the simulation's pool) and the destination sets of branches
-// that split w's set.
+// (from worms, the simulation's pool, each holding w's message) and the
+// destination sets of branches that split w's set.
 // free reports whether an output port is currently unbound (consulted by
 // the adaptive up policy); rng drives the random up policy. dead, when
 // non-nil, marks output ports whose links have failed: the plan routes
@@ -88,6 +88,7 @@ func fork(w *flit.Worm, dests bitset.Set, goingUp bool, ids *engine.IDGen, worms
 		GoingUp: goingUp,
 		Hops:    w.Hops + 1,
 	}
+	worms.Hold(w.Msg)
 	return child
 }
 

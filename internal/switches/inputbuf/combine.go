@@ -78,6 +78,7 @@ func (s *Switch) emitToken(port int, dest *int, op *flit.Op) {
 	}
 	w := s.worms.New()
 	*w = flit.Worm{ID: s.ids.Next(), Msg: msg, Dests: dests}
+	s.worms.Hold(msg)
 	s.pendingTok = append(s.pendingTok, pendingToken{port: port, worm: w})
 	s.sim.Progress()
 }
