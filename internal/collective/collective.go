@@ -110,24 +110,26 @@ type MessageFactory interface {
 		op *flit.Op, now int64) *flit.Message
 }
 
-// Plan returns the messages the source must inject, in order, to start the
-// multicast described by op under the given scheme. For SoftwareBinomial the
-// messages carry ForwardSteps that receivers use to continue the tree.
-// dests must be non-empty and exclude src. Plan also sets op.Phases and,
-// except for multiport covers, the op's group (flit.Op.SetGroup), of which
-// each message's destinations are a sub-slice.
-func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
+// Plan appends to msgs the messages the source must inject, in order, to
+// start the multicast described by op under the given scheme, and returns
+// the extended slice; like ForwardPlan it allocates only what f and growing
+// msgs do. For SoftwareBinomial the messages carry ForwardSteps that
+// receivers use to continue the tree. dests must be non-empty and exclude
+// src. Plan also sets op.Phases and, except for multiport covers, the op's
+// group (flit.Op.SetGroup), of which each message's destinations are a
+// sub-slice.
+func Plan(msgs []*flit.Message, scheme Scheme, net *topology.Network, f MessageFactory,
 	src int, dests []int, payload int, op *flit.Op, now int64) ([]*flit.Message, error) {
 
 	if len(dests) == 0 {
-		return nil, fmt.Errorf("collective: empty destination set")
+		return msgs, fmt.Errorf("collective: empty destination set")
 	}
 	for _, d := range dests {
 		if d == src {
-			return nil, fmt.Errorf("collective: source %d in destination set", src)
+			return msgs, fmt.Errorf("collective: source %d in destination set", src)
 		}
 		if d < 0 || d >= net.N {
-			return nil, fmt.Errorf("collective: destination %d out of range", d)
+			return msgs, fmt.Errorf("collective: destination %d out of range", d)
 		}
 	}
 
@@ -135,38 +137,34 @@ func Plan(scheme Scheme, net *topology.Network, f MessageFactory,
 	case HardwareBitString:
 		op.Phases = 1
 		group := op.SetGroup(dests, false)
-		m := f.NewMessage(src, group[1:], flit.ClassMulticast, payload, op, now)
-		return []*flit.Message{m}, nil
+		return append(msgs, f.NewMessage(src, group[1:], flit.ClassMulticast, payload, op, now)), nil
 
 	case HardwareMultiport:
 		cover, err := routing.MultiportCover(net, src, dests)
 		if err != nil {
-			return nil, err
+			return msgs, err
 		}
 		op.Phases = len(cover)
-		msgs := make([]*flit.Message, len(cover))
-		for i, ps := range cover {
-			msgs[i] = f.NewMessage(src, ps.Dests(net.Arity), flit.ClassMulticast, payload, op, now)
+		for _, ps := range cover {
+			msgs = append(msgs, f.NewMessage(src, ps.Dests(net.Arity), flit.ClassMulticast, payload, op, now))
 		}
 		return msgs, nil
 
 	case SoftwareBinomial:
 		group := op.SetGroup(dests, true)
 		op.Phases = BinomialPhases(len(dests))
-		msgs := make([]*flit.Message, 0, op.Phases)
 		return ForwardPlan(msgs, f, flit.ForwardStep{Group: group, Hi: len(group)}, payload, op, now), nil
 
 	case SoftwareSeparate:
 		op.Phases = len(dests)
 		group := op.SetGroup(dests, false)
-		msgs := make([]*flit.Message, len(dests))
 		for i := range dests {
-			msgs[i] = f.NewMessage(src, group[i+1:i+2:i+2], flit.ClassUnicast, payload, op, now)
+			msgs = append(msgs, f.NewMessage(src, group[i+1:i+2:i+2], flit.ClassUnicast, payload, op, now))
 		}
 		return msgs, nil
 
 	default:
-		return nil, fmt.Errorf("collective: unknown scheme %d", scheme)
+		return msgs, fmt.Errorf("collective: unknown scheme %d", scheme)
 	}
 }
 

@@ -136,7 +136,7 @@ func planEnv(t *testing.T) (*topology.Network, *fakeFactory) {
 func TestPlanHardwareBitString(t *testing.T) {
 	net, fac := planEnv(t)
 	op := flit.NewOp(1, flit.ClassMulticast, 0, 3, 0)
-	msgs, err := Plan(HardwareBitString, net, fac, 0, []int{1, 9, 33}, 64, op, 0)
+	msgs, err := Plan(nil, HardwareBitString, net, fac, 0, []int{1, 9, 33}, 64, op, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPlanHardwareBitString(t *testing.T) {
 func TestPlanHardwareMultiport(t *testing.T) {
 	net, fac := planEnv(t)
 	op := flit.NewOp(1, flit.ClassMulticast, 0, 4, 0)
-	msgs, err := Plan(HardwareMultiport, net, fac, 0, []int{16, 17, 18, 19}, 64, op, 0)
+	msgs, err := Plan(nil, HardwareMultiport, net, fac, 0, []int{16, 17, 18, 19}, 64, op, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPlanHardwareMultiport(t *testing.T) {
 	}
 	// Scattered set needs several worms; union must be exact.
 	op2 := flit.NewOp(2, flit.ClassMulticast, 0, 3, 0)
-	msgs2, err := Plan(HardwareMultiport, net, fac, 0, []int{1, 21, 42}, 64, op2, 0)
+	msgs2, err := Plan(nil, HardwareMultiport, net, fac, 0, []int{1, 21, 42}, 64, op2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPlanSoftwareBinomial(t *testing.T) {
 	net, fac := planEnv(t)
 	dests := []int{5, 3, 60, 22, 41, 17, 8}
 	op := flit.NewOp(1, flit.ClassMulticast, 0, len(dests), 0)
-	msgs, err := Plan(SoftwareBinomial, net, fac, 0, dests, 64, op, 0)
+	msgs, err := Plan(nil, SoftwareBinomial, net, fac, 0, dests, 64, op, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestPlanSoftwareSeparate(t *testing.T) {
 	net, fac := planEnv(t)
 	dests := []int{5, 9, 40}
 	op := flit.NewOp(1, flit.ClassMulticast, 0, len(dests), 0)
-	msgs, err := Plan(SoftwareSeparate, net, fac, 0, dests, 64, op, 0)
+	msgs, err := Plan(nil, SoftwareSeparate, net, fac, 0, dests, 64, op, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,16 +247,16 @@ func TestPlanSoftwareSeparate(t *testing.T) {
 func TestPlanErrors(t *testing.T) {
 	net, fac := planEnv(t)
 	op := flit.NewOp(1, flit.ClassMulticast, 0, 1, 0)
-	if _, err := Plan(HardwareBitString, net, fac, 0, nil, 64, op, 0); err == nil {
+	if _, err := Plan(nil, HardwareBitString, net, fac, 0, nil, 64, op, 0); err == nil {
 		t.Error("empty dests accepted")
 	}
-	if _, err := Plan(HardwareBitString, net, fac, 0, []int{0}, 64, op, 0); err == nil {
+	if _, err := Plan(nil, HardwareBitString, net, fac, 0, []int{0}, 64, op, 0); err == nil {
 		t.Error("source in dests accepted")
 	}
-	if _, err := Plan(HardwareBitString, net, fac, 0, []int{99}, 64, op, 0); err == nil {
+	if _, err := Plan(nil, HardwareBitString, net, fac, 0, []int{99}, 64, op, 0); err == nil {
 		t.Error("out-of-range dest accepted")
 	}
-	if _, err := Plan(Scheme(200), net, fac, 0, []int{1}, 64, op, 0); err == nil {
+	if _, err := Plan(nil, Scheme(200), net, fac, 0, []int{1}, 64, op, 0); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"mdworm/internal/faults"
+	"mdworm/internal/switches/centralbuf"
 )
 
 // faultDriver applies the configured fault plan through the engine's event
@@ -83,7 +84,8 @@ func (d *faultDriver) apply(e faults.Event, now int64) {
 			pio.Out.StickUntil(until)
 		}
 	case faults.CBShrink:
-		d.s.cbs[e.Switch].Shrink(e.Chunks)
+		// Config validation admits cb-shrink on central-buffer fabrics only.
+		d.s.sws[e.Switch].(*centralbuf.Switch).Shrink(e.Chunks)
 	case faults.NICStall:
 		d.s.nics[e.Node].StallUntil(until)
 	}

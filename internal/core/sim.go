@@ -24,13 +24,15 @@ type Simulator struct {
 	sim    *engine.Simulation
 	router *routing.Router
 	nics   []*nic.NIC
-	cbs    []*centralbuf.Switch
-	ibs    []*inputbuf.Switch
+	sws    []switches.Switch // one per topology switch, in switch-ID order
 	gen    *traffic.Generator
 	col    stats.Collector
 	ids    engine.IDGen
 	worms  flit.WormArena // the only pool of worms, messages and ops; every switch and NIC shares it
 	fac    *factory       // built once; every NIC and inject shares it
+	// planned is inject's scratch for a multicast's messages, emptied once
+	// they are submitted: derived state, never serialized.
+	planned []*flit.Message
 
 	// ports holds each switch's per-port link pair; the fault driver uses
 	// it to fail or stall specific links at their scheduled cycles.
@@ -208,25 +210,22 @@ func (s *Simulator) build() {
 	// are re-armed by the first flit sent toward them.
 	for _, node := range s.net.Switches {
 		rng := rootRNG.Fork(uint64(node.ID))
-		var comp engine.Component
+		var sw switches.Switch
 		switch cfg.Arch {
 		case CentralBuffer:
-			sw := centralbuf.New(cfg.CB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
-			s.cbs = append(s.cbs, sw)
-			comp = sw
+			sw = centralbuf.New(cfg.CB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 		case InputBuffer:
-			sw := inputbuf.New(cfg.IB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
-			s.ibs = append(s.ibs, sw)
-			comp = sw
+			sw = inputbuf.New(cfg.IB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 		}
-		s.sim.AddComponent(comp)
+		s.sws = append(s.sws, sw)
+		s.sim.AddComponent(sw)
 		ins := make([]*engine.Link, 0, len(ports[node.ID]))
 		for _, pio := range ports[node.ID] {
 			if pio.In != nil {
 				ins = append(ins, pio.In)
 			}
 		}
-		s.sim.DeclareInputs(comp, ins...)
+		s.sim.DeclareInputs(sw, ins...)
 	}
 
 	// NICs. The eject link is a NIC's only fabric input; Submit wakes it for
@@ -311,24 +310,13 @@ func (s *Simulator) SampleGauges() obs.Sample {
 		sm.LinkFlits += l.InFlight()
 		sm.LinkCarried += l.Carried()
 	}
-	for _, sw := range s.cbs {
+	for _, sw := range s.sws {
 		o := sw.Occupancy()
 		sm.InputFlits += o.InputFlits
-		if o.MaxInputQ > sm.MaxInputQ {
-			sm.MaxInputQ = o.MaxInputQ
-		}
+		sm.MaxInputQ = max(sm.MaxInputQ, o.MaxInputQ)
 		sm.OutputFlits += o.OutputFlits
 		sm.CBChunks += o.CBChunks
-		if st := sw.Stats(); st.MaxBranchRefs > sm.MaxBranchRefs {
-			sm.MaxBranchRefs = st.MaxBranchRefs
-		}
-	}
-	for _, sw := range s.ibs {
-		o := sw.Occupancy()
-		sm.InputFlits += o.InputFlits
-		if o.MaxInputQ > sm.MaxInputQ {
-			sm.MaxInputQ = o.MaxInputQ
-		}
+		sm.MaxBranchRefs = max(sm.MaxBranchRefs, o.MaxBranchRefs)
 	}
 	for _, n := range s.nics {
 		q := n.QueueLen()
@@ -358,24 +346,24 @@ func (s *Simulator) NICStats() []nic.Stats {
 // CBStats returns per-switch counters for central-buffer runs (nil
 // otherwise).
 func (s *Simulator) CBStats() []centralbuf.Stats {
-	if s.cbs == nil {
+	if s.cfg.Arch != CentralBuffer {
 		return nil
 	}
-	out := make([]centralbuf.Stats, len(s.cbs))
-	for i, sw := range s.cbs {
-		out[i] = sw.Stats()
+	out := make([]centralbuf.Stats, len(s.sws))
+	for i, sw := range s.sws {
+		out[i] = sw.(*centralbuf.Switch).Stats()
 	}
 	return out
 }
 
 // IBStats returns per-switch counters for input-buffer runs (nil otherwise).
 func (s *Simulator) IBStats() []inputbuf.Stats {
-	if s.ibs == nil {
+	if s.cfg.Arch != InputBuffer {
 		return nil
 	}
-	out := make([]inputbuf.Stats, len(s.ibs))
-	for i, sw := range s.ibs {
-		out[i] = sw.Stats()
+	out := make([]inputbuf.Stats, len(s.sws))
+	for i, sw := range s.sws {
+		out[i] = sw.(*inputbuf.Switch).Stats()
 	}
 	return out
 }
@@ -487,11 +475,13 @@ func (s *Simulator) inject(pool *flit.WormArena, src int, dests []int, multicast
 	}
 	op := pool.NewOp(s.ids.Next(), class, src, len(dests), now)
 	if multicast {
-		msgs, err := collective.Plan(s.cfg.Scheme, s.net, s.fac, src, dests, payload, op, now)
+		msgs, err := collective.Plan(s.planned[:0], s.cfg.Scheme, s.net, s.fac, src, dests, payload, op, now)
 		if err != nil {
 			return nil, err
 		}
 		s.nics[src].Submit(msgs...)
+		clear(msgs)
+		s.planned = msgs[:0]
 	} else {
 		if len(dests) != 1 {
 			return nil, fmt.Errorf("core: unicast op needs exactly one destination")

@@ -60,10 +60,7 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	// op, message, and worm is written once and referenced by ID.
 	g := ckpt.NewGraph()
 	s.sim.CollectState(g)
-	for _, sw := range s.cbs {
-		sw.CollectState(g)
-	}
-	for _, sw := range s.ibs {
+	for _, sw := range s.sws {
 		sw.CollectState(g)
 	}
 	for _, n := range s.nics {
@@ -100,10 +97,7 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	}
 
 	sws := w.Section(secSwitches)
-	for _, sw := range s.cbs {
-		sw.EncodeState(sws, g)
-	}
-	for _, sw := range s.ibs {
+	for _, sw := range s.sws {
 		sw.EncodeState(sws, g)
 	}
 
@@ -201,20 +195,14 @@ func (s *Simulator) restoreInto(r *ckpt.Reader) error {
 	}
 
 	if err := withSection(r, secSwitches, func(d *ckpt.Dec) {
-		for _, sw := range s.cbs {
-			sw.DecodeState(d, g)
-			if d.Err() != nil {
-				return
-			}
-		}
-		for _, sw := range s.ibs {
+		for _, sw := range s.sws {
 			sw.DecodeState(d, g)
 			if d.Err() != nil {
 				return
 			}
 		}
 		if d.Err() == nil && d.Remaining() != 0 {
-			d.Fail("%d trailing bytes after %d switches", d.Remaining(), len(s.cbs)+len(s.ibs))
+			d.Fail("%d trailing bytes after %d switches", d.Remaining(), len(s.sws))
 		}
 	}); err != nil {
 		return err

@@ -34,7 +34,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
 	"mdworm/internal/flit"
 	"mdworm/internal/routing"
@@ -119,8 +118,6 @@ type Stats struct {
 	MaxChunksInUse  int   // high-water mark of allocated chunks
 	MaxBranchRefs   int   // high-water mark of output references (readers) on one buffered worm
 	UnicastCBEnters int64 // unicast packets diverted through the central buffer (busy output)
-	TokensCombined  int64 // barrier tokens absorbed by the combining logic
-	TokensEmitted   int64 // barrier tokens generated (combined-up or release)
 }
 
 // Direction pools of the central buffer (see the package comment).
@@ -249,22 +246,14 @@ func (pb *packetBuf) chunkEnd(c int, chunkFlits int) int {
 
 // Switch is one central-buffer switch instance.
 type Switch struct {
-	cfg    Config
-	node   *topology.Switch
-	router *routing.Router
-	ports  []switches.PortIO
-	rng    *engine.RNG
-	ids    *engine.IDGen
-	sim    *engine.Simulation
-	worms  *flit.WormArena // the simulation's worm pool; nil when standalone
+	switches.Base
+	cfg Config
 
 	in  []inputState
 	out []outputState
 
-	// Decode storage the switch owns: the routing decision every decode
-	// refills, and retired packet records awaiting reuse. Both are derived
-	// state, never serialized.
-	dec    routing.Decision
+	// Retired packet records awaiting reuse: derived state, never
+	// serialized.
 	freePB []*packetBuf
 
 	// Port activity bitmaps (bit p = port p). Each per-cycle loop visits
@@ -289,12 +278,8 @@ type Switch struct {
 	minPool       int    // chunks a pool must retain to hold a maximum packet
 	leakLatch     bool   // suppresses repeated chunk-conservation reports
 
-	// Barrier combining state (see combine.go).
-	combineCount int
-	expected     int
-	pendingTok   []pendingToken
-	pendingRes   [2][]*packetBuf // reservation queue per direction pool
-	livePB       int
+	pendingRes [2][]*packetBuf // reservation queue per direction pool
+	livePB     int
 
 	stats Stats
 }
@@ -308,24 +293,12 @@ type Switch struct {
 func New(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
 	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) *Switch {
 
-	if len(ports) != node.NumPorts() {
-		panic("centralbuf: port count mismatch")
-	}
-	if len(ports) > switches.MaxPorts {
-		panic(fmt.Sprintf("centralbuf: %d ports exceed the %d-port activity bitmaps", len(ports), switches.MaxPorts))
-	}
 	s := &Switch{
-		cfg:    cfg,
-		node:   node,
-		router: router,
-		ports:  ports,
-		rng:    rng,
-		ids:    ids,
-		worms:  worms,
-		sim:    sim,
-		in:     make([]inputState, len(ports)),
-		out:    make([]outputState, len(ports)),
+		cfg: cfg,
+		in:  make([]inputState, len(ports)),
+		out: make([]outputState, len(ports)),
 	}
+	s.Init("cb", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
 	s.free[poolUp] = cfg.Chunks / 2
 	s.free[poolDown] = cfg.Chunks - cfg.Chunks/2
 	s.poolCap[poolUp] = s.free[poolUp]
@@ -337,17 +310,7 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 	for o := range s.out {
 		s.out[o].boundIn = -1
 	}
-	for i, p := range ports {
-		if p.In != nil {
-			p.In.BindArrival(&s.arrivals, i)
-		}
-	}
 	return s
-}
-
-// Name identifies the switch in diagnostics.
-func (s *Switch) Name() string {
-	return fmt.Sprintf("cb-sw%d(s%d,%d)", s.node.ID, s.node.Stage, s.node.Pos)
 }
 
 // Stats returns a snapshot of the switch counters.
@@ -368,19 +331,16 @@ func (s *Switch) Occupancy() switches.Occupancy {
 		o.OutputFlits += s.out[i].fifo.Len()
 	}
 	o.CBChunks = s.chunksInUse
+	o.MaxBranchRefs = s.stats.MaxBranchRefs
 	return o
 }
-
-// InputCredits returns the credit count to grant on links feeding this
-// switch (the input FIFO capacity).
-func (s *Switch) InputCredits() int { return s.cfg.InFIFOFlits }
 
 // Quiesced reports whether the switch holds no flits or packet state.
 func (s *Switch) Quiesced() bool {
 	if s.livePB != 0 || len(s.pendingRes[poolUp]) != 0 || len(s.pendingRes[poolDown]) != 0 {
 		return false
 	}
-	if !s.tokenQuiesced() {
+	if !s.Tokens.Quiesced() {
 		return false
 	}
 	// Ports outside the bitmaps hold nothing. (An output bound to a bypass
@@ -411,7 +371,7 @@ func (s *Switch) Step(now int64) {
 		s.rdBudget = len(s.out)
 	}
 	s.stepOutputsDrain(now)
-	s.drainTokens()
+	s.Tokens.Drain(now)
 	s.stepOutputsServe(now)
 	s.stepInputs(now)
 	s.accrueReservations(now)
@@ -428,7 +388,7 @@ func (s *Switch) checkChunkConservation(now int64) {
 	if total != s.cfg.Chunks {
 		if !s.leakLatch {
 			s.leakLatch = true
-			s.sim.Invariants().Violate(now, "cb-chunk-leak",
+			s.Sim.Invariants().Violate(now, "cb-chunk-leak",
 				"%s: %d chunks accounted of %d (free=%v inUse=%d reserved=%d removed=%v)",
 				s.Name(), total, s.cfg.Chunks, s.free, s.chunksInUse, s.reservedTotal, s.removed)
 		}
@@ -441,7 +401,7 @@ func (s *Switch) stepOutputsDrain(now int64) {
 	for m := s.drainOut; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros64(m)
 		st := &s.out[o]
-		if out := s.ports[o].Out; st.fifo.Len() != 0 && out != nil {
+		if out := s.Ports[o].Out; st.fifo.Len() != 0 && out != nil {
 			if out.TrySend(now, st.fifo.Front()) {
 				st.fifo.Pop()
 				s.stats.FlitsOut++
@@ -478,7 +438,7 @@ func (s *Switch) discardOutput(o int, now int64) {
 	switch {
 	case st.mode == outCB && st.cur != nil && st.cur.child == head.W:
 		b := st.cur
-		s.reportDrop(now, b.child, b.child.Dests)
+		s.ReportDrop(now, b.child, b.child.Dests)
 		s.purgeFIFO(st, head.W)
 		st.cur = nil
 		st.mode = outIdle
@@ -487,7 +447,7 @@ func (s *Switch) discardOutput(o int, now int64) {
 	case st.mode == outBypass && st.boundIn >= 0 && s.in[st.boundIn].mode == modeBypass &&
 		s.in[st.boundIn].plans[0].Child == head.W:
 		in := &s.in[st.boundIn]
-		s.reportDrop(now, head.W, head.W.Dests)
+		s.ReportDrop(now, head.W, head.W.Dests)
 		s.purgeFIFO(st, head.W)
 		in.mode = modeSink
 		in.bypassOut = -1
@@ -496,7 +456,7 @@ func (s *Switch) discardOutput(o int, now int64) {
 	default:
 		// The worm is fully present in the FIFO (a finished central-buffer
 		// read or completed bypass).
-		s.reportDrop(now, head.W, head.W.Dests)
+		s.ReportDrop(now, head.W, head.W.Dests)
 		s.purgeFIFO(st, head.W)
 	}
 }
@@ -514,23 +474,18 @@ func (s *Switch) purgeFIFO(st *outputState, w *flit.Worm) {
 	st.fifo.Rebuild(kept)
 }
 
-// reportDrop accounts destinations abandoned because of an injected fault.
-func (s *Switch) reportDrop(now int64, w *flit.Worm, dropped bitset.Set) {
-	n := flit.DropCost(w, dropped)
-	if n == 0 {
-		return
+// placeToken is the combiner's hook: it stages a barrier token on output
+// port at a packet boundary, where the output is idle with nothing queued
+// and its FIFO, which must have room, does not end mid-worm.
+func (s *Switch) placeToken(now int64, port int, tok flit.Ref) bool {
+	st := &s.out[port]
+	if st.mode != outIdle || len(st.queue) != 0 || st.fifo.Len() >= s.cfg.OutFIFOFlits ||
+		(st.fifo.Len() != 0 && !st.fifo.Last().Tail()) {
+		return false
 	}
-	s.stats.WormsDropped++
-	s.stats.DestsDropped += int64(dropped.Count())
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceDrop, Actor: s.Name(),
-			Msg: w.Msg.ID, Worm: w.ID,
-			Detail: fmt.Sprintf("dests=%v cost=%d", dropped.Members(), n)})
-	}
-	if s.router.OnDrop != nil {
-		s.router.OnDrop(w.Msg, n, now)
-	}
-	s.sim.Progress()
+	s.emit(port, tok)
+	s.Sim.Progress()
+	return true
 }
 
 func (s *Switch) stepOutputsServe(now int64) {
@@ -549,14 +504,14 @@ func (s *Switch) stepOutputsServe(now int64) {
 func (s *Switch) serveOutput(o int, now int64) {
 	st := &s.out[o]
 	if st.mode == outIdle {
-		out := s.ports[o].Out
+		out := s.Ports[o].Out
 		for len(st.queue) > 0 {
 			b := st.queue[0]
 			st.queue = slices.Delete(st.queue, 0, 1)
 			if out != nil && out.Dead() {
 				// The branch can never be transmitted; account the
 				// drop and release its hold on the packet.
-				s.reportDrop(now, b.child, b.child.Dests)
+				s.ReportDrop(now, b.child, b.child.Dests)
 				b.finish()
 				s.advanceFreeing(b.pb, now)
 				continue
@@ -609,7 +564,7 @@ func (s *Switch) advanceFreeing(pb *packetBuf, now int64) {
 // the packet any more, and its caller must not read it afterwards.
 func (s *Switch) retirePB(pb *packetBuf, now int64) {
 	if pb.chunksFreed != pb.chunksAlloc {
-		s.sim.Invariants().Violate(now, "cb-refcount",
+		s.Sim.Invariants().Violate(now, "cb-refcount",
 			"%s: retiring packet (worm %d) with %d/%d chunks freed",
 			s.Name(), pb.worm.ID, pb.chunksFreed, pb.chunksAlloc)
 		for pb.chunksFreed < pb.chunksAlloc {
@@ -619,7 +574,7 @@ func (s *Switch) retirePB(pb *packetBuf, now int64) {
 		}
 	}
 	if pb.reserved != 0 {
-		s.sim.Invariants().Violate(now, "cb-refcount",
+		s.Sim.Invariants().Violate(now, "cb-refcount",
 			"%s: retiring packet (worm %d) with %d reserved chunks",
 			s.Name(), pb.worm.ID, pb.reserved)
 		s.free[pb.pool] += pb.reserved
@@ -627,7 +582,7 @@ func (s *Switch) retirePB(pb *packetBuf, now int64) {
 		pb.reserved = 0
 	}
 	s.livePB--
-	s.worms.Release(pb.worm)
+	s.Worms.Release(pb.worm)
 	pb.worm = nil
 	clear(pb.branches)
 	s.freePB = append(s.freePB, pb)
@@ -684,7 +639,7 @@ func (s *Switch) accrueReservations(now int64) {
 				head.reserved += grab
 				s.free[pool] -= grab
 				s.reservedTotal += grab
-				s.sim.Progress()
+				s.Sim.Progress()
 			}
 			if head.reserved < head.need {
 				break
@@ -711,12 +666,12 @@ func (s *Switch) admit(pb *packetBuf, now int64) {
 		s.stats.MaxBranchRefs = n
 	}
 	s.stats.ReserveWaitSum += now - in.waitSince
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceAdmit, Actor: s.Name(),
+	if s.Sim.Tracing() {
+		s.Sim.Emit(engine.TraceEvent{Kind: engine.TraceAdmit, Actor: s.Name(),
 			Msg: pb.worm.Msg.ID, Worm: pb.worm.ID,
 			Detail: fmt.Sprintf("waited=%d chunks=%d", now-in.waitSince, pb.need)})
 	}
-	s.sim.Progress()
+	s.Sim.Progress()
 }
 
 func (s *Switch) stepInputs(now int64) {
@@ -747,9 +702,9 @@ func (s *Switch) stepInput(i int, now int64) {
 			// Barrier tokens never enter the routing pipeline: consume
 			// and hand to the combining logic.
 			r := in.q.Pop()
-			s.ports[i].In.ReturnCredit(now, 1)
-			s.handleToken(i, r.W)
-			s.worms.Release(r.W)
+			s.Ports[i].In.ReturnCredit(now, 1)
+			s.Tokens.Handle(i, r.W)
+			s.Worms.Release(r.W)
 			return
 		}
 		if w := in.q.HeadWorm(); w != nil {
@@ -774,7 +729,7 @@ func (s *Switch) stepInput(i int, now int64) {
 	case modeDecode:
 		if in.decodeLeft > 0 {
 			in.decodeLeft--
-			s.sim.Progress()
+			s.Sim.Progress()
 			return
 		}
 		s.decode(i, now)
@@ -797,52 +752,27 @@ func (s *Switch) sinkInput(i int, now int64) {
 		return
 	}
 	r := in.q.Pop()
-	s.ports[i].In.ReturnCredit(now, 1)
-	s.sim.Progress()
+	s.Ports[i].In.ReturnCredit(now, 1)
+	s.Sim.Progress()
 	if r.Tail() {
 		s.clearInput(in)
-		s.worms.Release(r.W)
+		s.Worms.Release(r.W)
 	}
 }
 
 // decode routes the head worm and chooses its data path.
 func (s *Switch) decode(i int, now int64) {
 	in := &s.in[i]
-	ascending := switches.Ascending(s.node, i)
-	free := func(port int) bool {
+	plans := s.Decode(in.plans[:0], i, in.worm, func(port int) bool {
 		return s.out[port].mode == outIdle && len(s.out[port].queue) == 0
-	}
-	// A nil dead predicate keeps healthy fabrics on the allocation-free
-	// routing fast path; avoidance engages only once a link has failed.
-	var dead func(port int) bool
-	if switches.AnyDeadOut(s.ports) {
-		dead = func(port int) bool {
-			out := s.ports[port].Out
-			return out != nil && out.Dead()
-		}
-	}
-	plans, dropped, err := switches.PlanBranches(in.plans[:0], &s.dec, s.router, s.node, in.worm, ascending,
-		free, dead, s.rng, s.ids, s.worms)
-	if err != nil {
-		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
-	}
-	s.stats.Decodes++
+	}, now)
 	in.plans = plans
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceDecode, Actor: s.Name(),
-			Msg: in.worm.Msg.ID, Worm: in.worm.ID,
-			Detail: fmt.Sprintf("in=%d branches=%d", i, len(plans))})
-	}
-	if !dropped.Empty() {
-		s.reportDrop(now, in.worm, dropped)
-	}
 	if len(plans) == 0 {
 		// Every branch died: swallow the worm so upstream drains.
 		in.mode = modeSink
 		s.sinkInput(i, now)
 		return
 	}
-	s.stats.Replications += int64(len(plans) - 1)
 
 	unicastLike := in.worm.Msg.Class == flit.ClassUnicast ||
 		(len(plans) == 1 && s.cfg.MulticastBypassSingle)
@@ -851,7 +781,7 @@ func (s *Switch) decode(i int, now int64) {
 	}
 
 	pool := poolDown
-	if ascending {
+	if switches.Ascending(s.Node, i) {
 		pool = poolUp
 	}
 
@@ -890,8 +820,8 @@ func (s *Switch) decode(i int, now int64) {
 	}
 	in.mode = modeReserve
 	s.pendingRes[pool] = append(s.pendingRes[pool], pb)
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceReserve, Actor: s.Name(),
+	if s.Sim.Tracing() {
+		s.Sim.Emit(engine.TraceEvent{Kind: engine.TraceReserve, Actor: s.Name(),
 			Msg: in.worm.Msg.ID, Worm: in.worm.ID,
 			Detail: fmt.Sprintf("need=%d pool=%d queue=%d", pb.need, pool, len(s.pendingRes[pool]))})
 	}
@@ -933,14 +863,14 @@ func (s *Switch) pushBypass(i int, now int64) {
 		return
 	}
 	r := in.q.Pop()
-	s.ports[i].In.ReturnCredit(now, 1)
+	s.Ports[i].In.ReturnCredit(now, 1)
 	s.emit(o, flit.Ref{W: in.plans[0].Child, Idx: r.Idx})
 	s.stats.BypassFlits++
 	if r.Tail() {
 		st.mode = outIdle
 		st.boundIn = -1
 		s.clearInput(in)
-		s.worms.Release(r.W)
+		s.Worms.Release(r.W)
 	}
 }
 
@@ -967,14 +897,14 @@ func (s *Switch) writeCB(i int, now int64) {
 		}
 	}
 	r := in.q.Pop()
-	s.ports[i].In.ReturnCredit(now, 1)
+	s.Ports[i].In.ReturnCredit(now, 1)
 	if r.Idx != pb.written {
 		panic(fmt.Sprintf("%s: input %d wrote flit %d, expected %d", s.Name(), i, r.Idx, pb.written))
 	}
 	pb.written++
 	s.wrBudget--
 	s.stats.BufferFlits++
-	s.sim.Progress()
+	s.Sim.Progress()
 	if r.Tail() {
 		s.clearInput(in)
 		s.advanceFreeing(pb, now)
@@ -993,7 +923,7 @@ func (s *Switch) clearInput(in *inputState) {
 func (s *Switch) acceptArrivals(now int64) {
 	for m := s.arrivals; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		link := s.ports[i].In
+		link := s.Ports[i].In
 		r, ok := link.Take(now)
 		if !ok {
 			continue

@@ -113,9 +113,7 @@ func (s *Switch) CollectState(g *ckpt.Graph) {
 			g.AddWorm(pb.branches[k].child)
 		}
 	}
-	for _, pt := range s.pendingTok {
-		g.AddWorm(pt.worm)
-	}
+	s.Tokens.CollectState(g)
 }
 
 // EncodeState writes the switch's mutable state.
@@ -197,15 +195,7 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.Bool(s.leakLatch)
 	e.Int(s.livePB)
 
-	e.Int(s.combineCount)
-	e.Int(s.expected)
-	e.Int(len(s.pendingTok))
-	for _, pt := range s.pendingTok {
-		e.Int(pt.port)
-		e.U64(g.WormID(pt.worm))
-	}
-
-	switches.EncodeStats(e, &s.stats.Stats)
+	s.EncodeHead(e, g)
 	e.I64(s.stats.BypassFlits)
 	e.I64(s.stats.BufferFlits)
 	e.I64(s.stats.AdmittedMcasts)
@@ -213,10 +203,7 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.Int(s.stats.MaxChunksInUse)
 	e.Int(s.stats.MaxBranchRefs)
 	e.I64(s.stats.UnicastCBEnters)
-	e.I64(s.stats.TokensCombined)
-	e.I64(s.stats.TokensEmitted)
-
-	e.U64(s.rng.State())
+	s.EncodeTail(e)
 }
 
 // DecodeState restores the switch over a freshly constructed twin. The
@@ -272,12 +259,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		pbs = append(pbs, pb)
 	}
 
-	nin := d.Count(8)
-	if d.Err() != nil {
-		return
-	}
-	if nin != len(s.in) {
-		d.Fail("%s: %d inputs, checkpoint has %d", s.Name(), len(s.in), nin)
+	if !s.DecodePortCount(d, "inputs") {
 		return
 	}
 	for i := range s.in {
@@ -342,12 +324,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 	}
 
-	nout := d.Count(8)
-	if d.Err() != nil {
-		return
-	}
-	if nout != len(s.out) {
-		d.Fail("%s: %d outputs, checkpoint has %d", s.Name(), len(s.out), nout)
+	if !s.DecodePortCount(d, "outputs") {
 		return
 	}
 	for o := range s.out {
@@ -425,26 +402,10 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	s.leakLatch = d.Bool()
 	s.livePB = d.Int()
 
-	s.combineCount = d.Int()
-	s.expected = d.Int()
-	ntok := d.Count(16)
+	s.DecodeHead(d, g)
 	if d.Err() != nil {
 		return
 	}
-	s.pendingTok = nil
-	for k := 0; k < ntok; k++ {
-		pt := pendingToken{port: d.Int(), worm: g.WormAt(d, d.U64())}
-		if d.Err() != nil {
-			return
-		}
-		if pt.worm == nil || pt.port < 0 || pt.port >= len(s.out) {
-			d.Fail("%s: pending token %d inconsistent", s.Name(), k)
-			return
-		}
-		s.pendingTok = append(s.pendingTok, pt)
-	}
-
-	switches.DecodeStats(d, &s.stats.Stats)
 	s.stats.BypassFlits = d.I64()
 	s.stats.BufferFlits = d.I64()
 	s.stats.AdmittedMcasts = d.I64()
@@ -452,10 +413,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	s.stats.MaxChunksInUse = d.Int()
 	s.stats.MaxBranchRefs = d.Int()
 	s.stats.UnicastCBEnters = d.I64()
-	s.stats.TokensCombined = d.I64()
-	s.stats.TokensEmitted = d.I64()
-
-	s.rng.SetState(d.U64())
+	s.DecodeTail(d)
 	if d.Err() != nil {
 		return
 	}

@@ -1,6 +1,8 @@
-// Package switches holds the plumbing shared by the switch
-// microarchitectures: port/link bundles, round-robin arbitration, and the
-// branch planner that turns a routing decision into forked child worms.
+// Package switches holds what the switch microarchitectures share: the
+// Switch contract, the Base skeleton each organization embeds (naming,
+// decode, drop accounting and barrier combining), port/link bundles,
+// round-robin arbitration, and the branch planner that turns a routing
+// decision into forked child worms.
 package switches
 
 import (
@@ -67,10 +69,10 @@ func PlanBranches(plans []Planned, dec *routing.Decision, r *routing.Router, sw 
 	return plans, dropped, nil
 }
 
-// AnyDeadOut reports whether any output link of the port set has failed.
-// Switch decoders use it to skip fault-avoidance routing entirely on a
-// healthy fabric.
-func AnyDeadOut(ports []PortIO) bool {
+// anyDeadOut reports whether any output link of the port set has failed.
+// Decode uses it to skip fault-avoidance routing entirely on a healthy
+// fabric.
+func anyDeadOut(ports []PortIO) bool {
 	for i := range ports {
 		if out := ports[i].Out; out != nil && out.Dead() {
 			return true
@@ -130,6 +132,9 @@ type Occupancy struct {
 	// CBChunks is the number of central-buffer chunks currently allocated
 	// (central-buffer model only).
 	CBChunks int
+	// MaxBranchRefs is the high-water mark of output references (readers)
+	// on one buffered worm (central-buffer model only).
+	MaxBranchRefs int
 }
 
 // Stats aggregates counters common to all switch models.
@@ -140,4 +145,7 @@ type Stats struct {
 	Replications int64 // extra branches created (branches beyond the first)
 	WormsDropped int64 // branches abandoned because of injected faults
 	DestsDropped int64 // destinations those branches would have covered
+
+	TokensCombined int64 // barrier tokens absorbed by the combining logic
+	TokensEmitted  int64 // barrier tokens generated (combined-up or release)
 }

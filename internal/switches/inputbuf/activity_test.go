@@ -62,10 +62,10 @@ func checkActivity(t *testing.T, s *Switch, now int64) {
 	t.Helper()
 	var arrivals, activeIn, boundOut, reqOut uint64
 	requests := make([]uint64, len(s.out))
-	quiet := s.tokenQuiesced()
-	for p := range s.ports {
+	quiet := s.Tokens.Quiesced()
+	for p := range s.Ports {
 		bit := uint64(1) << uint(p)
-		if l := s.ports[p].In; l != nil && l.InFlight() > 0 {
+		if l := s.Ports[p].In; l != nil && l.InFlight() > 0 {
 			arrivals |= bit
 		}
 		in := &s.in[p]
@@ -123,7 +123,7 @@ func restoreTwin(t *testing.T, s *Switch, cfg Config, tr *switchtest.Traffic) *S
 	var graph, state ckpt.Enc
 	g.Encode(&graph)
 	s.EncodeState(&state, g)
-	ports := make([]switches.PortIO, len(s.ports))
+	ports := make([]switches.PortIO, len(s.Ports))
 	for p := range ports {
 		ports[p] = switches.PortIO{In: engine.NewLink("in", 1, cfg.BufFlits), Out: engine.NewLink("out", 1, 8)}
 	}

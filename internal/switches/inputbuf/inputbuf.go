@@ -21,7 +21,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
 	"mdworm/internal/flit"
 	"mdworm/internal/routing"
@@ -77,8 +76,6 @@ type Stats struct {
 	GrantWaitSum    int64 // cycles branches spent requesting an output
 	HOLBlockedSum   int64 // cycles an active input head moved no flit (grant, credit, or data stall)
 	MaxBufOccupancy int
-	TokensCombined  int64 // barrier tokens absorbed by the combining logic
-	TokensEmitted   int64 // barrier tokens generated (combined-up or release)
 }
 
 type inputMode uint8
@@ -92,6 +89,11 @@ const (
 	// degradation): flits are freed as they arrive so upstream drains.
 	modeSink
 )
+
+// String names the mode for diagnostics. DecodeState rejects unknown modes.
+func (m inputMode) String() string {
+	return [...]string{"idle", "header", "decode", "active", "sink"}[m]
+}
 
 type wormRecv struct {
 	w   *flit.Worm
@@ -129,23 +131,15 @@ type outputState struct {
 
 // Switch is one input-buffered switch instance.
 type Switch struct {
-	cfg    Config
-	node   *topology.Switch
-	router *routing.Router
-	ports  []switches.PortIO
-	rng    *engine.RNG
-	ids    *engine.IDGen
-	sim    *engine.Simulation
-	worms  *flit.WormArena // the simulation's worm pool; nil when standalone
+	switches.Base
+	cfg Config
 
 	in  []inputState
 	out []outputState
 
-	// Decode storage the switch owns: the routing decision and plan every
-	// decode refills (the plan is copied into branch records at once), and
-	// branch records of finished head worms awaiting reuse. All derived
-	// state, never serialized.
-	dec          routing.Decision
+	// Decode storage the switch owns: the plan every decode refills (it is
+	// copied into branch records at once), and branch records of finished
+	// head worms awaiting reuse. Both derived state, never serialized.
 	plans        []switches.Planned
 	freeBranches []*branch
 
@@ -166,11 +160,6 @@ type Switch struct {
 	boundOut uint64 // outputs bound to a branch (arbitrate sets, unbind clears)
 	reqOut   uint64 // outputs with a nonzero reqBits word (request sets, withdraw clears)
 
-	// Barrier combining state (see combine.go).
-	combineCount int
-	expected     int
-	pendingTok   []pendingToken
-
 	stats Stats
 }
 
@@ -182,39 +171,17 @@ type Switch struct {
 func New(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
 	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) *Switch {
 
-	if len(ports) != node.NumPorts() {
-		panic("inputbuf: port count mismatch")
-	}
-	if len(ports) > switches.MaxPorts {
-		panic(fmt.Sprintf("inputbuf: %d ports exceed the %d-port activity bitmaps", len(ports), switches.MaxPorts))
-	}
 	s := &Switch{
 		cfg:     cfg,
-		node:    node,
-		router:  router,
-		ports:   ports,
-		rng:     rng,
-		ids:     ids,
-		worms:   worms,
-		sim:     sim,
 		in:      make([]inputState, len(ports)),
 		out:     make([]outputState, len(ports)),
 		reqBits: make([]uint64, len(ports)),
 	}
+	s.Init("ib", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
 	for o := range s.out {
 		s.out[o].arb = switches.NewRoundRobin(len(ports))
 	}
-	for i, p := range ports {
-		if p.In != nil {
-			p.In.BindArrival(&s.arrivals, i)
-		}
-	}
 	return s
-}
-
-// Name identifies the switch in diagnostics.
-func (s *Switch) Name() string {
-	return fmt.Sprintf("ib-sw%d(s%d,%d)", s.node.ID, s.node.Stage, s.node.Pos)
 }
 
 // Stats returns a snapshot of the switch counters.
@@ -234,13 +201,9 @@ func (s *Switch) Occupancy() switches.Occupancy {
 	return o
 }
 
-// InputCredits returns the credit count to grant on links feeding this
-// switch (the input buffer capacity).
-func (s *Switch) InputCredits() int { return s.cfg.BufFlits }
-
 // Quiesced reports whether the switch holds no flits or packet state.
 func (s *Switch) Quiesced() bool {
-	if !s.tokenQuiesced() || s.boundOut != 0 {
+	if !s.Tokens.Quiesced() || s.boundOut != 0 {
 		return false
 	}
 	// Inputs outside activeIn hold nothing.
@@ -258,7 +221,7 @@ func (s *Switch) Quiesced() bool {
 // and new arrivals are accepted.
 func (s *Switch) Step(now int64) {
 	s.serveOutputs(now)
-	s.drainTokens(now)
+	s.Tokens.Drain(now)
 	s.dropDeadBranches(now)
 	s.arbitrate(now)
 	s.stepInputs(now)
@@ -279,11 +242,11 @@ func (s *Switch) dropDeadBranches(now int64) {
 			if b.done || b.sent > 0 {
 				continue
 			}
-			out := s.ports[b.out].Out
+			out := s.Ports[b.out].Out
 			if out == nil || !out.Dead() {
 				continue
 			}
-			s.reportDrop(now, b.child, b.child.Dests)
+			s.ReportDrop(now, b.child, b.child.Dests)
 			b.done = true
 			b.child = nil
 			b.sent = in.queue[0].w.Len()
@@ -297,23 +260,11 @@ func (s *Switch) dropDeadBranches(now int64) {
 	}
 }
 
-// reportDrop accounts destinations abandoned because of an injected fault.
-func (s *Switch) reportDrop(now int64, w *flit.Worm, dropped bitset.Set) {
-	n := flit.DropCost(w, dropped)
-	if n == 0 {
-		return
-	}
-	s.stats.WormsDropped++
-	s.stats.DestsDropped += int64(dropped.Count())
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceDrop, Actor: s.Name(),
-			Msg: w.Msg.ID, Worm: w.ID,
-			Detail: fmt.Sprintf("dests=%v cost=%d", dropped.Members(), n)})
-	}
-	if s.router.OnDrop != nil {
-		s.router.OnDrop(w.Msg, n, now)
-	}
-	s.sim.Progress()
+// placeToken is the combiner's hook: it sends a barrier token straight
+// onto output port's link while no branch holds the output.
+func (s *Switch) placeToken(now int64, port int, tok flit.Ref) bool {
+	out := s.Ports[port].Out
+	return s.out[port].bound == nil && out != nil && out.TrySend(now, tok)
 }
 
 // serveOutputs forwards one flit per bound output, directly onto the link.
@@ -330,7 +281,7 @@ func (s *Switch) serveOutputs(now int64) {
 		b := s.out[o].bound
 		in := &s.in[b.in]
 		head := &in.queue[0]
-		out := s.ports[o].Out
+		out := s.Ports[o].Out
 		if b.sent >= head.got || out == nil || !out.TrySend(now, flit.Ref{W: b.child, Idx: b.sent}) {
 			continue
 		}
@@ -363,7 +314,7 @@ func (s *Switch) serveOutputsSync(now int64) {
 				continue
 			}
 			if !b.granted || b.sent >= head.got ||
-				s.ports[b.out].Out == nil || !s.ports[b.out].Out.CanSend(now) {
+				s.Ports[b.out].Out == nil || !s.Ports[b.out].Out.CanSend(now) {
 				ready = false
 				break
 			}
@@ -375,7 +326,7 @@ func (s *Switch) serveOutputsSync(now int64) {
 			if b.done {
 				continue
 			}
-			if !s.ports[b.out].Out.TrySend(now, flit.Ref{W: b.child, Idx: b.sent}) {
+			if !s.Ports[b.out].Out.TrySend(now, flit.Ref{W: b.child, Idx: b.sent}) {
 				panic(fmt.Sprintf("%s: output %d refused a lock-step flit after CanSend granted it", s.Name(), b.out))
 			}
 			b.sent++
@@ -408,11 +359,11 @@ func (s *Switch) advanceFreeing(i int, now int64) {
 		in.minSent = m
 		in.occupancy -= delta
 		if in.occupancy < 0 {
-			s.sim.Invariants().Violate(now, "ib-occupancy",
+			s.Sim.Invariants().Violate(now, "ib-occupancy",
 				"%s: input %d occupancy %d after freeing %d flits", s.Name(), i, in.occupancy, delta)
 			in.occupancy = 0
 		}
-		s.ports[i].In.ReturnCredit(now, delta)
+		s.Ports[i].In.ReturnCredit(now, delta)
 	}
 }
 
@@ -443,24 +394,24 @@ func (s *Switch) finishHeads(now int64) {
 		}
 		s.advanceFreeing(i, now)
 		if in.minSent != head.w.Len() {
-			s.sim.Invariants().Violate(now, "ib-occupancy",
+			s.Sim.Invariants().Violate(now, "ib-occupancy",
 				"%s: popping head with %d/%d flits freed", s.Name(), in.minSent, head.w.Len())
 			if delta := head.w.Len() - in.minSent; delta > 0 {
 				in.occupancy -= delta
 				if in.occupancy < 0 {
 					in.occupancy = 0
 				}
-				s.ports[i].In.ReturnCredit(now, delta)
+				s.Ports[i].In.ReturnCredit(now, delta)
 			}
 		}
-		s.worms.Release(head.w)
+		s.Worms.Release(head.w)
 		in.queue = slices.Delete(in.queue, 0, 1)
 		s.freeBranches = append(s.freeBranches, in.branches...)
 		clear(in.branches)
 		in.branches = in.branches[:0]
 		in.minSent = 0
 		in.mode = modeIdle
-		s.sim.Progress()
+		s.Sim.Progress()
 	}
 }
 
@@ -485,12 +436,12 @@ func (s *Switch) arbitrate(now int64) {
 				st.bound = b
 				s.boundOut |= 1 << uint(o)
 				s.stats.GrantWaitSum += now - b.reqAt
-				if s.sim.Tracing() {
-					s.sim.Emit(engine.TraceEvent{Kind: engine.TraceGrant, Actor: s.Name(),
+				if s.Sim.Tracing() {
+					s.Sim.Emit(engine.TraceEvent{Kind: engine.TraceGrant, Actor: s.Name(),
 						Msg: b.child.Msg.ID, Worm: b.child.ID,
 						Detail: fmt.Sprintf("in=%d out=%d waited=%d", picked, o, now-b.reqAt)})
 				}
-				s.sim.Progress()
+				s.Sim.Progress()
 				break
 			}
 		}
@@ -543,9 +494,9 @@ func (s *Switch) stepInput(i int, now int64) {
 			w := head.w
 			in.queue = slices.Delete(in.queue, 0, 1)
 			in.occupancy--
-			s.ports[i].In.ReturnCredit(now, 1)
-			s.handleToken(i, w)
-			s.worms.Release(w)
+			s.Ports[i].In.ReturnCredit(now, 1)
+			s.Tokens.Handle(i, w)
+			s.Worms.Release(w)
 			return
 		}
 		in.mode = modeHeader
@@ -562,7 +513,7 @@ func (s *Switch) stepInput(i int, now int64) {
 	case modeDecode:
 		if in.decodeLeft > 0 {
 			in.decodeLeft--
-			s.sim.Progress()
+			s.Sim.Progress()
 			return
 		}
 		s.decode(i, now)
@@ -580,40 +531,14 @@ func (s *Switch) stepInput(i int, now int64) {
 
 func (s *Switch) decode(i int, now int64) {
 	in := &s.in[i]
-	head := &in.queue[0]
-	ascending := switches.Ascending(s.node, i)
-	free := func(port int) bool { return s.out[port].bound == nil }
-	// A nil dead predicate keeps healthy fabrics on the allocation-free
-	// routing fast path; avoidance engages only once a link has failed.
-	var dead func(port int) bool
-	if switches.AnyDeadOut(s.ports) {
-		dead = func(port int) bool {
-			out := s.ports[port].Out
-			return out != nil && out.Dead()
-		}
-	}
-	plans, dropped, err := switches.PlanBranches(s.plans[:0], &s.dec, s.router, s.node, head.w, ascending,
-		free, dead, s.rng, s.ids, s.worms)
+	plans := s.Decode(s.plans[:0], i, in.queue[0].w, func(port int) bool { return s.out[port].bound == nil }, now)
 	s.plans = plans
-	if err != nil {
-		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
-	}
-	s.stats.Decodes++
-	if s.sim.Tracing() {
-		s.sim.Emit(engine.TraceEvent{Kind: engine.TraceDecode, Actor: s.Name(),
-			Msg: head.w.Msg.ID, Worm: head.w.ID,
-			Detail: fmt.Sprintf("in=%d branches=%d", i, len(plans))})
-	}
-	if !dropped.Empty() {
-		s.reportDrop(now, head.w, dropped)
-	}
 	if len(plans) == 0 {
 		// Every branch died: swallow the worm so upstream drains.
 		in.mode = modeSink
 		s.sinkHead(i, now)
 		return
 	}
-	s.stats.Replications += int64(len(plans) - 1)
 	for _, p := range plans {
 		in.branches = append(in.branches, s.newBranch(i, p, now))
 		s.request(p.Port, i)
@@ -649,25 +574,25 @@ func (s *Switch) sinkHead(i int, now int64) {
 		in.minSent = head.got
 		in.occupancy -= delta
 		if in.occupancy < 0 {
-			s.sim.Invariants().Violate(now, "ib-occupancy",
+			s.Sim.Invariants().Violate(now, "ib-occupancy",
 				"%s: input %d occupancy %d while sinking", s.Name(), i, in.occupancy)
 			in.occupancy = 0
 		}
-		s.ports[i].In.ReturnCredit(now, delta)
+		s.Ports[i].In.ReturnCredit(now, delta)
 	}
 	if head.got == head.w.Len() {
-		s.worms.Release(head.w)
+		s.Worms.Release(head.w)
 		in.queue = slices.Delete(in.queue, 0, 1)
 		in.minSent = 0
 		in.mode = modeIdle
-		s.sim.Progress()
+		s.Sim.Progress()
 	}
 }
 
 func (s *Switch) acceptArrivals(now int64) {
 	for m := s.arrivals; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		link := s.ports[i].In
+		link := s.Ports[i].In
 		r, ok := link.Take(now)
 		if !ok {
 			continue

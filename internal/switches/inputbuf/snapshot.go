@@ -2,13 +2,12 @@ package inputbuf
 
 import (
 	"mdworm/internal/ckpt"
-	"mdworm/internal/switches"
 )
 
 // Checkpoint support. The switch's mutable state is the per-input worm
 // queues and branch sets, the output bindings (aliases into those branch
-// sets, encoded as (input, branch) pairs), barrier combining, counters, and
-// the per-switch RNG position.
+// sets, encoded as (input, branch) pairs), and what the skeleton owns
+// (barrier combining, counters, and the per-switch RNG position).
 
 // CollectState adds every worm the switch holds to the checkpoint graph.
 func (s *Switch) CollectState(g *ckpt.Graph) {
@@ -21,9 +20,7 @@ func (s *Switch) CollectState(g *ckpt.Graph) {
 			g.AddWorm(b.child)
 		}
 	}
-	for _, pt := range s.pendingTok {
-		g.AddWorm(pt.worm)
-	}
+	s.Tokens.CollectState(g)
 }
 
 // EncodeState writes the switch's mutable state.
@@ -75,34 +72,18 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 		e.Int(st.arb.Last())
 	}
 
-	e.Int(s.combineCount)
-	e.Int(s.expected)
-	e.Int(len(s.pendingTok))
-	for _, pt := range s.pendingTok {
-		e.Int(pt.port)
-		e.U64(g.WormID(pt.worm))
-	}
-
-	switches.EncodeStats(e, &s.stats.Stats)
+	s.EncodeHead(e, g)
 	e.I64(s.stats.GrantWaitSum)
 	e.I64(s.stats.HOLBlockedSum)
 	e.Int(s.stats.MaxBufOccupancy)
-	e.I64(s.stats.TokensCombined)
-	e.I64(s.stats.TokensEmitted)
-
-	e.U64(s.rng.State())
+	s.EncodeTail(e)
 }
 
 // DecodeState restores the switch over a freshly constructed twin. The
 // branch free list is derived state and starts empty.
 func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	s.freeBranches = nil
-	nin := d.Count(8)
-	if d.Err() != nil {
-		return
-	}
-	if nin != len(s.in) {
-		d.Fail("%s: %d inputs, checkpoint has %d", s.Name(), len(s.in), nin)
+	if !s.DecodePortCount(d, "inputs") {
 		return
 	}
 	for i := range s.in {
@@ -169,12 +150,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 	}
 
-	nout := d.Count(8)
-	if d.Err() != nil {
-		return
-	}
-	if nout != len(s.out) {
-		d.Fail("%s: %d outputs, checkpoint has %d", s.Name(), len(s.out), nout)
+	if !s.DecodePortCount(d, "outputs") {
 		return
 	}
 	for o := range s.out {
@@ -202,31 +178,12 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	}
 	s.rebuildActivity()
 
-	s.combineCount = d.Int()
-	s.expected = d.Int()
-	ntok := d.Count(16)
+	s.DecodeHead(d, g)
 	if d.Err() != nil {
 		return
 	}
-	s.pendingTok = nil
-	for k := 0; k < ntok; k++ {
-		pt := pendingToken{port: d.Int(), worm: g.WormAt(d, d.U64())}
-		if d.Err() != nil {
-			return
-		}
-		if pt.worm == nil || pt.port < 0 || pt.port >= len(s.out) {
-			d.Fail("%s: pending token %d inconsistent", s.Name(), k)
-			return
-		}
-		s.pendingTok = append(s.pendingTok, pt)
-	}
-
-	switches.DecodeStats(d, &s.stats.Stats)
 	s.stats.GrantWaitSum = d.I64()
 	s.stats.HOLBlockedSum = d.I64()
 	s.stats.MaxBufOccupancy = d.Int()
-	s.stats.TokensCombined = d.I64()
-	s.stats.TokensEmitted = d.I64()
-
-	s.rng.SetState(d.U64())
+	s.DecodeTail(d)
 }

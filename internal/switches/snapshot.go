@@ -61,8 +61,26 @@ func (rr *RoundRobin) SetLast(last int) {
 // N returns the number of requesters the arbiter serves.
 func (rr *RoundRobin) N() int { return rr.n }
 
-// EncodeStats writes the common switch counters.
-func EncodeStats(e *ckpt.Enc, s *Stats) {
+// CollectState adds every pending token to the checkpoint graph.
+func (c *Combiner) CollectState(g *ckpt.Graph) {
+	for _, pt := range c.pending {
+		g.AddWorm(pt.worm)
+	}
+}
+
+// EncodeHead writes the state a switch's checkpoint carries between the
+// model's buffers and its own counters: the combining state, then the
+// common counters up to DestsDropped.
+func (b *Base) EncodeHead(e *ckpt.Enc, g *ckpt.Graph) {
+	c := &b.Tokens
+	e.Int(c.count)
+	e.Int(c.expected)
+	e.Int(len(c.pending))
+	for _, pt := range c.pending {
+		e.Int(pt.port)
+		e.U64(g.WormID(pt.worm))
+	}
+	s := b.stats
 	e.I64(s.FlitsIn)
 	e.I64(s.FlitsOut)
 	e.I64(s.Decodes)
@@ -71,14 +89,60 @@ func EncodeStats(e *ckpt.Enc, s *Stats) {
 	e.I64(s.DestsDropped)
 }
 
-// DecodeStats restores the common switch counters.
-func DecodeStats(d *ckpt.Dec, s *Stats) {
+// DecodeHead restores what EncodeHead wrote.
+func (b *Base) DecodeHead(d *ckpt.Dec, g *ckpt.Graph) {
+	c := &b.Tokens
+	c.count = d.Int()
+	c.expected = d.Int()
+	ntok := d.Count(16)
+	if d.Err() != nil {
+		return
+	}
+	c.pending = nil
+	for k := 0; k < ntok; k++ {
+		pt := pendingToken{port: d.Int(), worm: g.WormAt(d, d.U64())}
+		if d.Err() != nil {
+			return
+		}
+		if pt.worm == nil || pt.port < 0 || pt.port >= len(b.Ports) {
+			d.Fail("%s: pending token %d inconsistent", b.Name(), k)
+			return
+		}
+		c.pending = append(c.pending, pt)
+	}
+	s := b.stats
 	s.FlitsIn = d.I64()
 	s.FlitsOut = d.I64()
 	s.Decodes = d.I64()
 	s.Replications = d.I64()
 	s.WormsDropped = d.I64()
 	s.DestsDropped = d.I64()
+}
+
+// DecodePortCount reads the count that opens a model's per-port records,
+// named what in the error, and reports whether it matches the switch's
+// port count; a mismatch fails d.
+func (b *Base) DecodePortCount(d *ckpt.Dec, what string) bool {
+	n := d.Count(8)
+	if d.Err() == nil && n != len(b.Ports) {
+		d.Fail("%s: %d %s, checkpoint has %d", b.Name(), len(b.Ports), what, n)
+	}
+	return d.Err() == nil
+}
+
+// EncodeTail writes what ends a switch's checkpoint, after the model's own
+// counters: the token counters and the RNG position.
+func (b *Base) EncodeTail(e *ckpt.Enc) {
+	e.I64(b.stats.TokensCombined)
+	e.I64(b.stats.TokensEmitted)
+	e.U64(b.RNG.State())
+}
+
+// DecodeTail restores what EncodeTail wrote.
+func (b *Base) DecodeTail(d *ckpt.Dec) {
+	b.stats.TokensCombined = d.I64()
+	b.stats.TokensEmitted = d.I64()
+	b.RNG.SetState(d.U64())
 }
 
 // EncodeRef writes one flit reference.

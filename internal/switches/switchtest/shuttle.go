@@ -13,11 +13,15 @@ import (
 )
 
 // Shuttle wires the single switch of a one-stage 4-ary tree (processors
-// 0..3, one per port) to a source on processor 0's port and a sink on every
-// port, neither of which allocates: the source draws its worms from Worms,
-// and the switch and the sinks release them at their tails. It sends one
-// worm at a time and lets the switch drain between worms, so a test can
-// measure what the switch itself allocates per worm in steady state.
+// 0..3, one per down port) to scripted sources and to a sink on every port,
+// for tests that follow individual worms. Inject scripts worms from a given
+// cycle on; the sinks take one flit per cycle and record what
+// they take (Sinks). Those worms are not pooled: the test builds the switch
+// with a nil worm pool and keeps every worm it injects.
+//
+// AllocsPerWorm instead measures what the switch itself allocates per worm
+// in steady state: the switch is built over Worms, and the sinks release
+// each worm at its tail instead of recording it.
 type Shuttle struct {
 	Sim    *engine.Simulation
 	Net    *topology.Network
@@ -26,14 +30,16 @@ type Shuttle struct {
 	Ports  []switches.PortIO
 	IDs    engine.IDGen
 	Worms  flit.WormArena
+	Sinks  []*Sink
 
-	src *shuttleSource
+	src *source
 }
 
 // NewShuttle builds the fabric around the switch under test, which the
-// caller constructs over Ports (with Node, Router, IDs, Worms and Sim) and
-// registers with Sim.AddComponent. inCredits is the switch's input buffer
-// size.
+// caller constructs over Ports (with Node, Router, IDs, Sim and, to measure
+// allocations, Worms) and registers with Sim.AddComponent before injecting
+// anything. inCredits is the switch's input buffer size. Invariants are
+// strict.
 func NewShuttle(inCredits int) *Shuttle {
 	net, err := topology.NewKaryTree(4, 1)
 	if err != nil {
@@ -51,11 +57,65 @@ func NewShuttle(inCredits int) *Shuttle {
 		in := sh.Sim.NewLink(fmt.Sprintf("src%d->sw.p%d", p, p), 1, inCredits)
 		out := sh.Sim.NewLink(fmt.Sprintf("sw.p%d->snk%d", p, p), 1, 8)
 		sh.Ports[p] = switches.PortIO{In: in, Out: out}
-		sh.Sim.AddComponent(&shuttleSink{link: out, worms: &sh.Worms})
+		snk := &Sink{link: out, TailAt: map[*flit.Message]int64{}}
+		sh.Sinks = append(sh.Sinks, snk)
+		sh.Sim.AddComponent(snk)
 	}
-	sh.src = &shuttleSource{link: sh.Ports[0].In}
+	sh.src = &source{link: sh.Ports[0].In}
 	sh.Sim.AddComponent(sh.src)
 	return sh
+}
+
+// Inject sends a worm from the processor on port from to dests, from cycle
+// startAt on. A worm with several destinations is a multidestination worm.
+func (sh *Shuttle) Inject(from int, dests []int, payload int, startAt int64) *flit.Worm {
+	msg := &flit.Message{
+		ID:           sh.IDs.Next(),
+		Src:          from,
+		Dests:        dests,
+		PayloadFlits: payload,
+		HeaderFlits:  1,
+		Class:        flit.ClassUnicast,
+	}
+	if len(dests) > 1 {
+		msg.Class = flit.ClassMulticast
+	}
+	w := &flit.Worm{ID: sh.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(sh.Net.N, dests), GoingUp: true}
+	sh.Sim.AddComponent(&source{link: sh.Ports[from].In, queue: []*flit.Worm{w}, from: startAt})
+	return w
+}
+
+// Run steps until the fabric drains, failing the test with the dump of sw,
+// the switch under test, if it does not within maxCycles.
+func (sh *Shuttle) Run(t testing.TB, sw switches.Switch, maxCycles int64) {
+	t.Helper()
+	ok, err := sh.Sim.Drain(maxCycles)
+	if err != nil {
+		t.Fatalf("drain: %v\n%s", err, sw.Dump())
+	}
+	if !ok {
+		t.Fatalf("did not drain in %d cycles\n%s", maxCycles, sw.Dump())
+	}
+}
+
+// ExpectCopy fails the test unless the sink on port received exactly one
+// complete copy of msg, in order.
+func (sh *Shuttle) ExpectCopy(t testing.TB, port int, msg *flit.Message) {
+	t.Helper()
+	var flits []flit.Ref
+	for _, r := range sh.Sinks[port].Got {
+		if r.W.Msg == msg {
+			flits = append(flits, r)
+		}
+	}
+	if len(flits) != msg.Len() {
+		t.Fatalf("port %d got %d flits of msg %d, want %d", port, len(flits), msg.ID, msg.Len())
+	}
+	for i, r := range flits {
+		if r.Idx != i {
+			t.Fatalf("port %d msg %d: flit %d out of order (idx %d)", port, msg.ID, i, r.Idx)
+		}
+	}
 }
 
 // AllocsPerWorm sends worms from processor 0 to dests, each once the
@@ -65,6 +125,9 @@ func NewShuttle(inCredits int) *Shuttle {
 // multidestination worm. Every worm carries the same message and set.
 func (sh *Shuttle) AllocsPerWorm(t testing.TB, dests []int, multicast bool, runs int) float64 {
 	t.Helper()
+	for _, s := range sh.Sinks {
+		s.release = &sh.Worms
+	}
 	msg := &flit.Message{ID: sh.IDs.Next(), Dests: dests, PayloadFlits: 16, HeaderFlits: 1,
 		Class: flit.ClassUnicast}
 	if multicast || len(dests) > 1 {
@@ -75,7 +138,7 @@ func (sh *Shuttle) AllocsPerWorm(t testing.TB, dests []int, multicast bool, runs
 	send := func() {
 		w := sh.Worms.New()
 		*w = flit.Worm{ID: sh.IDs.Next(), Msg: msg, Dests: set, GoingUp: true}
-		sh.src.worm, sh.src.next = w, 0
+		sh.src.queue = append(sh.src.queue, w)
 		sent++
 		for limit := sh.Sim.Now + 1_000; !sh.Sim.Quiesced(); sh.Sim.Step() {
 			if sh.Sim.Now >= limit {
@@ -89,40 +152,37 @@ func (sh *Shuttle) AllocsPerWorm(t testing.TB, dests []int, multicast bool, runs
 	return testing.AllocsPerRun(runs, send)
 }
 
-// shuttleSource sends one worm back to back as credits allow.
-type shuttleSource struct {
-	link *engine.Link
-	worm *flit.Worm
-	next int
+// Sink consumes one flit per cycle, holding off until HoldOff to model a
+// blocked destination. It records what it takes, or, once AllocsPerWorm
+// has set release, releases each worm at its tail and records nothing.
+type Sink struct {
+	HoldOff int64                   // consume nothing before this cycle
+	Got     []flit.Ref              // flits in arrival order
+	TailAt  map[*flit.Message]int64 // message -> tail arrival cycle
+
+	link    *engine.Link
+	release *flit.WormArena
 }
 
-func (s *shuttleSource) Name() string   { return "source" }
-func (s *shuttleSource) Quiesced() bool { return s.worm == nil }
-func (s *shuttleSource) Step(now int64) {
-	if s.worm == nil || !s.link.TrySend(now, flit.Ref{W: s.worm, Idx: s.next}) {
+func (s *Sink) Name() string   { return "sink" }
+func (s *Sink) Quiesced() bool { return true }
+func (s *Sink) Step(now int64) {
+	if now < s.HoldOff {
 		return
 	}
-	if s.next++; s.next == s.worm.Len() {
-		s.worm = nil
-	}
-}
-
-// shuttleSink consumes one flit per cycle and releases each worm at its
-// tail.
-type shuttleSink struct {
-	link  *engine.Link
-	worms *flit.WormArena
-}
-
-func (s *shuttleSink) Name() string   { return "sink" }
-func (s *shuttleSink) Quiesced() bool { return true }
-func (s *shuttleSink) Step(now int64) {
 	r, ok := s.link.Take(now)
 	if !ok {
 		return
 	}
 	s.link.ReturnCredit(now, 1)
+	if s.release != nil {
+		if r.Tail() {
+			s.release.Release(r.W)
+		}
+		return
+	}
+	s.Got = append(s.Got, r)
 	if r.Tail() {
-		s.worms.Release(r.W)
+		s.TailAt[r.W.Msg] = now
 	}
 }

@@ -67,6 +67,11 @@ type Traffic struct {
 	barrier  *flit.Op // round in flight, nil between rounds
 	released int      // release tokens delivered in the current round
 	Barriers int      // completed barrier rounds
+
+	// DestsQueued counts the destinations of the data worms sources
+	// queued, DestsDelivered those of the data worms sinks took. Once the
+	// switch drains, their difference is what the faults dropped.
+	DestsQueued, DestsDelivered int
 }
 
 // New builds the fabric around the switch under test, which the caller
@@ -192,6 +197,7 @@ func (tr *Traffic) queueData(port, src int, dests []int, up bool) {
 	w := tr.Worms.New()
 	*w = flit.Worm{ID: tr.IDs.Next(), Msg: msg, Dests: bitset.FromSlice(tr.Net.N, dests), GoingUp: up}
 	s.queue = append(s.queue, w)
+	tr.DestsQueued += len(dests)
 }
 
 func (tr *Traffic) queueToken(port int, dests []int) {
@@ -218,21 +224,26 @@ func (tr *Traffic) tokenOut(port int) {
 	}
 }
 
-// source sends its queued worms back to back as credits allow.
+// source sends its queued worms back to back as credits allow, from cycle
+// from on. It keeps its queue's storage and drops each worm once its tail
+// is sent: the switch may release it.
 type source struct {
 	link  *engine.Link
 	queue []*flit.Worm
 	next  int
+	from  int64
 }
 
 func (s *source) Name() string   { return "source" }
 func (s *source) Quiesced() bool { return len(s.queue) == 0 }
 func (s *source) Step(now int64) {
-	if len(s.queue) == 0 || !s.link.TrySend(now, flit.Ref{W: s.queue[0], Idx: s.next}) {
+	if len(s.queue) == 0 || now < s.from || !s.link.TrySend(now, flit.Ref{W: s.queue[0], Idx: s.next}) {
 		return
 	}
 	if s.next++; s.next == s.queue[0].Len() {
-		s.queue = s.queue[1:]
+		n := copy(s.queue, s.queue[1:])
+		s.queue[n] = nil
+		s.queue = s.queue[:n]
 		s.next = 0
 	}
 }
@@ -264,6 +275,8 @@ func (s *sink) Step(now int64) {
 	s.link.ReturnCredit(now, 1)
 	if r.W.Msg.Class == flit.ClassBarrier {
 		s.tr.tokenOut(s.port)
+	} else if r.Tail() {
+		s.tr.DestsDelivered += r.W.Dests.Count()
 	}
 	if r.Tail() {
 		s.tr.Worms.Release(r.W)
