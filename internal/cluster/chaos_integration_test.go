@@ -234,9 +234,9 @@ func TestCoordinatorRestartResolvesExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: "a8",
+	c1.journal.Append(service.JournalRec{Kind: service.RecAccepted, Hash: "a8",
 		JobKind: "experiment", Config: reqJSON})
-	c1.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: "e9",
+	c1.journal.Append(service.JournalRec{Kind: service.RecAccepted, Hash: "e9",
 		JobKind: "experiment"})
 	c1.Close()
 

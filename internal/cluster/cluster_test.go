@@ -484,6 +484,62 @@ func TestCoordinatorJournalExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCacheEntries: the merged-result cache is bounded by
+// CacheEntries; 1024 is only the default for a value below 1.
+func TestCoordinatorCacheEntries(t *testing.T) {
+	_, coord := startCoordinator(t, Config{CacheEntries: 2})
+	for seed := uint64(51); seed <= 53; seed++ {
+		if resp, body := postRun(t, coord.URL, tinyRunBody(seed)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: %s: %s", seed, resp.Status, body)
+		}
+	}
+	if m := scrape(t, coord.URL); !strings.Contains(m, "\nmdwd_cache_entries 2\n") {
+		t.Errorf("three distinct runs through a 2-entry cache:\n%s", m)
+	}
+}
+
+// TestCoordinatorRunDeadlockStructuredError: a worker's deadlock verdict on a
+// config reaches the coordinator's client with the worker's code and message
+// (no worker job id), while the journal keeps the dispatch error string.
+func TestCoordinatorRunDeadlockStructuredError(t *testing.T) {
+	dir := t.TempDir()
+	_, w1 := startWorker(t, service.Config{Workers: 1})
+	_, coord := startCoordinator(t, Config{Peers: []string{w1.URL}, CacheDir: dir})
+	// Every up port of stage-0 switch sw0 freezes: the watchdog reports a
+	// deadlock.
+	wedge := `{"config":{"stages":2,"degree":4,"warmup_cycles":200,"measure_cycles":800,"drain_cycles":50000,"op_rate":0.01,"seed":3,"watchdog_limit":10000,"faults_spec":"port-stuck@300:sw0.p4;port-stuck@300:sw0.p5;port-stuck@300:sw0.p6;port-stuck@300:sw0.p7"}}`
+	resp, body := postRun(t, w1.URL, wedge)
+	direct := decodeErr(t, body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || direct.Error.Code != "deadlock" {
+		t.Fatalf("worker: %d %s", resp.StatusCode, body)
+	}
+	resp, body = postRun(t, coord.URL, wedge)
+	got := decodeErr(t, body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || got.Error.Code != "deadlock" ||
+		got.Error.Message != direct.Error.Message || got.Error.Job != "" || got.Error.Retryable {
+		t.Fatalf("coordinator: %d %s, want the worker's deadlock verdict without its job id", resp.StatusCode, body)
+	}
+	want := "peer " + w1.URL + ": 422 Unprocessable Entity: " + direct.Error.Message
+	for _, r := range readJournal(t, dir) {
+		if r.Kind == service.RecFailed && r.JobKind == "run" && r.Error != want {
+			t.Errorf("journaled run failure %q, want %q", r.Error, want)
+		}
+	}
+}
+
+// TestCoordinatorRunCycleBudgetExceeded: a worker's cycle-budget verdict
+// reaches the coordinator's client as cycle_budget_exceeded.
+func TestCoordinatorRunCycleBudgetExceeded(t *testing.T) {
+	_, w1 := startWorker(t, service.Config{MaxCycles: 10_000})
+	_, coord := startCoordinator(t, Config{Peers: []string{w1.URL}})
+	resp, body := postRun(t, coord.URL, tinyRunBody(61))
+	e := decodeErr(t, body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Code != "cycle_budget_exceeded" ||
+		e.Error.Message != "config needs up to 51000 simulated cycles, budget is 10000" {
+		t.Fatalf("coordinator: %d %s, want 422 cycle_budget_exceeded", resp.StatusCode, body)
+	}
+}
+
 func readJournal(t *testing.T, dir string) []service.JournalRec {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "journal.ndjson"))

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -126,7 +127,7 @@ type Coordinator struct {
 // New builds a coordinator, recovers its journal, and starts the peer
 // health-probe loop.
 func New(cfg Config) (*Coordinator, error) {
-	cache, err := service.NewCache(max(cfg.CacheEntries, 1024), "")
+	cache, err := service.NewCache(cfg.CacheEntries, "")
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +160,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.mux.HandleFunc("POST /v1/run", c.handleRun)
 	c.mux.HandleFunc("POST /v1/experiment", c.handleExperiment)
-	c.mux.HandleFunc("GET /v1/experiments", c.handleExperiments)
+	c.mux.HandleFunc("GET /v1/experiments", service.ListExperiments)
 	c.mux.HandleFunc("POST /v1/cluster/join", c.handleJoin)
 	c.mux.HandleFunc("GET /v1/cluster/status", c.handleStatus)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -210,15 +211,6 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// journalAppend mirrors service.Server.journalAppend: durability for
-// restarts, never a correctness dependency of the running coordinator.
-func (c *Coordinator) journalAppend(rec service.JournalRec) {
-	if c.journal == nil {
-		return
-	}
-	_ = c.journal.Append(rec)
-}
-
 // recover replays the coordinator's journal and closes out what the previous
 // process left behind: pending run jobs are re-dispatched in the background
 // (worker caches make a re-dispatch of finished-but-unjournaled work a cheap
@@ -228,32 +220,22 @@ func (c *Coordinator) journalAppend(rec service.JournalRec) {
 // the stream token resumes against finished work instead of a failed job.
 // Only legacy records with no replayable request are failed outright.
 func (c *Coordinator) recover() error {
-	pending, err := service.ReplayJournal(c.cfg.CacheDir)
-	if err != nil {
-		return err
-	}
-	j, err := service.ResetJournal(c.cfg.CacheDir)
+	j, pending, err := service.RecoverJournal(c.cfg.CacheDir, c.cfg.JournalMaxBytes)
 	if err != nil {
 		return err
 	}
 	c.journal = j
-	switch {
-	case c.cfg.JournalMaxBytes > 0:
-		j.SetMaxBytes(c.cfg.JournalMaxBytes)
-	case c.cfg.JournalMaxBytes == 0:
-		j.SetMaxBytes(service.DefaultJournalMaxBytes)
-	}
 
 	for _, p := range pending {
 		switch {
 		case p.JobKind == "experiment":
 			var req service.ExperimentRequest
 			if len(p.Config) == 0 || json.Unmarshal(p.Config, &req) != nil || req.ID == "" {
-				c.journalAppend(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
+				c.journal.Append(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
 					JobKind: p.JobKind, Error: "interrupted by coordinator restart"})
 				continue
 			}
-			c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: p.Hash,
+			c.journal.Append(service.JournalRec{Kind: service.RecAccepted, Hash: p.Hash,
 				JobKind: "experiment", Config: p.Config})
 			c.jobs.Add(1)
 			go func() {
@@ -262,16 +244,16 @@ func (c *Coordinator) recover() error {
 				c.finishJob(req.ID, "experiment", err)
 			}()
 		case len(p.Config) == 0:
-			c.journalAppend(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
+			c.journal.Append(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
 				JobKind: p.JobKind, Error: "journal carries no configuration for this job"})
 		default:
 			var canon core.Config
 			if err := json.Unmarshal(p.Config, &canon); err != nil {
-				c.journalAppend(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
+				c.journal.Append(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
 					JobKind: "run", Error: fmt.Sprintf("journaled config does not parse: %v", err)})
 				continue
 			}
-			c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: p.Hash,
+			c.journal.Append(service.JournalRec{Kind: service.RecAccepted, Hash: p.Hash,
 				JobKind: "run", Config: p.Config})
 			hash := p.Hash
 			c.jobs.Add(1)
@@ -292,32 +274,13 @@ func (c *Coordinator) finishJob(hash, jobKind string, err error) {
 		rec.Kind = service.RecFailed
 		rec.Error = err.Error()
 	}
-	c.journalAppend(rec)
-}
-
-// apiError mirrors the service package's error body so clients cannot tell
-// coordinator and single daemon apart.
-type apiError struct {
-	Code              string `json:"code"`
-	Message           string `json:"message"`
-	Job               string `json:"job,omitempty"`
-	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
-	// Retryable tells clients whether repeating the identical request can
-	// succeed — true for infrastructure weather (dead peers, deadlines,
-	// draining), false for properties of the request itself.
-	Retryable bool `json:"retryable,omitempty"`
-}
-
-func writeErr(w http.ResponseWriter, status int, e apiError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]apiError{"error": e})
+	c.journal.Append(rec)
 }
 
 // rejectDraining answers a job-creating request during shutdown.
 func rejectDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	writeErr(w, http.StatusServiceUnavailable, apiError{
+	service.WriteError(w, http.StatusServiceUnavailable, service.APIError{
 		Code: "draining", Message: "coordinator is draining", RetryAfterSeconds: 1,
 		Retryable: true})
 }
@@ -325,36 +288,6 @@ func rejectDraining(w http.ResponseWriter) {
 // tenantCounters is one tenant's request accounting at the coordinator
 // front door.
 type tenantCounters struct{ runs, experiments, hits, misses int64 }
-
-// tenantFor authenticates a request against the coordinator's tenant set,
-// mirroring the service-layer semantics: anonymous when no tenants are
-// configured, structured 401 otherwise (already written when ok is false).
-func (c *Coordinator) tenantFor(w http.ResponseWriter, r *http.Request) (t *service.Tenant, ok bool) {
-	if c.cfg.Tenants == nil {
-		return service.AnonymousTenant(), true
-	}
-	unauthorized := func(msg string) {
-		w.Header().Set("WWW-Authenticate", `Bearer realm="mdwd"`)
-		writeErr(w, http.StatusUnauthorized, apiError{Code: "unauthorized", Message: msg})
-	}
-	h := r.Header.Get("Authorization")
-	if h == "" {
-		unauthorized(`missing Authorization header (want "Bearer <key>")`)
-		return nil, false
-	}
-	scheme, key, found := strings.Cut(h, " ")
-	key = strings.TrimSpace(key)
-	if !found || !strings.EqualFold(scheme, "Bearer") || key == "" {
-		unauthorized(`malformed Authorization header (want "Bearer <key>")`)
-		return nil, false
-	}
-	t = c.cfg.Tenants.LookupKey(key)
-	if t == nil {
-		unauthorized("unknown API key")
-		return nil, false
-	}
-	return t, true
-}
 
 // countTenant applies one accounting update for a tenant (multi-tenant mode
 // only).
@@ -377,53 +310,30 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		rejectDraining(w)
 		return
 	}
-	tn, ok := c.tenantFor(w, r)
+	tn, ok := service.Authenticate(w, r, c.cfg.Tenants)
 	if !ok {
 		return
 	}
-	var req service.RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	var cfg core.Config
-	if req.RawConfig != nil {
-		cfg = *req.RawConfig
-	} else {
-		resolved, err := req.Config.Resolve()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, apiError{Code: "bad_config", Message: err.Error()})
-			return
-		}
-		cfg = resolved
-	}
-	hash, canon, err := service.Hash(cfg)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "invalid_config", Message: err.Error()})
+	req, hash, canon, ok := service.DecodeRun(w, r)
+	if !ok {
 		return
 	}
 
 	if body, ok := c.cache.Get(hash); ok {
 		c.countTenant(tn, func(tc *tenantCounters) { tc.runs++; tc.hits++ })
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Mdwd-Cache", "hit")
-		w.Header().Set("X-Mdwd-Hash", hash)
-		w.Header().Set("X-Mdwd-Body-SHA256", service.BodySHA(body))
-		w.Write(body)
+		service.WriteResult(w, "hit", hash, body)
 		return
 	}
 	c.countTenant(tn, func(tc *tenantCounters) { tc.runs++; tc.misses++ })
 
 	canonJSON, err := json.Marshal(canon)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
+		service.WriteError(w, http.StatusInternalServerError, service.APIError{Code: "internal", Message: err.Error()})
 		return
 	}
 	c.jobs.Add(1)
 	defer c.jobs.Done()
-	c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: hash,
+	c.journal.Append(service.JournalRec{Kind: service.RecAccepted, Hash: hash,
 		JobKind: "run", Tenant: tn.Name, Config: canonJSON})
 	// The client's deadline bounds how long this handler waits; the original
 	// (not remaining) budget is forwarded to workers, where it can become a
@@ -446,22 +356,24 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		if waitCtx.Err() != nil {
 			// The client's deadline expired but the shard continues
 			// server-side; re-asking eventually lands a cache hit.
-			writeErr(w, http.StatusGatewayTimeout, apiError{Code: "timeout",
+			service.WriteError(w, http.StatusGatewayTimeout, service.APIError{Code: "timeout",
 				Message:   fmt.Sprintf("deadline of %dms elapsed; job continues, retry for the cached result", req.DeadlineMillis),
 				Retryable: true})
 			return
 		}
 		c.finishJob(hash, "run", err)
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "run_failed",
-			Message: err.Error(), Retryable: IsRetryable(err)})
+		// A worker's 422 verdict on the config is answered as the worker gave
+		// it; any other failure is run_failed.
+		e := service.APIError{Code: "run_failed", Message: err.Error(), Retryable: IsRetryable(err)}
+		var v *verdictError
+		if errors.As(err, &v) {
+			e = v.api
+		}
+		service.WriteError(w, http.StatusUnprocessableEntity, e)
 		return
 	}
 	c.finishJob(hash, "run", nil)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mdwd-Cache", "miss")
-	w.Header().Set("X-Mdwd-Hash", hash)
-	w.Header().Set("X-Mdwd-Body-SHA256", service.BodySHA(res.body))
-	w.Write(res.body)
+	service.WriteResult(w, "miss", hash, res.body)
 }
 
 // sweepWorkers returns the shard fan-out bound for one experiment.
@@ -477,62 +389,30 @@ func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		rejectDraining(w)
 		return
 	}
-	tn, ok := c.tenantFor(w, r)
+	tn, ok := service.Authenticate(w, r, c.cfg.Tenants)
 	if !ok {
 		return
 	}
-	var req service.ExperimentRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
+	req, ok := service.DecodeExperiment(w, r)
+	if !ok {
 		return
-	}
-	known := false
-	for _, id := range experiments.IDs() {
-		if id == req.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeErr(w, http.StatusNotFound, apiError{Code: "unknown_experiment",
-			Message: fmt.Sprintf("unknown experiment %q (GET /v1/experiments lists ids)", req.ID)})
-		return
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if req.Stream != "" && !service.ValidStreamToken(req.Stream) {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_stream",
-			Message: fmt.Sprintf("%q is not a stream token", req.Stream)})
-		return
-	}
-	if req.AfterSeq < 0 {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_cursor",
-			Message: "after_seq must be >= 0"})
-		return
-	}
-	if req.Stream == "" {
-		req.Stream = service.NewStreamToken()
-		req.AfterSeq = 0
 	}
 
 	c.countTenant(tn, func(tc *tenantCounters) { tc.experiments++ })
 	c.jobs.Add(1)
 	defer c.jobs.Done()
 	reqJSON, _ := json.Marshal(req)
-	c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: req.ID,
+	c.journal.Append(service.JournalRec{Kind: service.RecAccepted, Hash: req.ID,
 		JobKind: "experiment", Tenant: tn.Name, Config: reqJSON})
 
-	// The sweep runs on this handler goroutine's pool; only this goroutine
-	// writes the response. Events flow: shard completion (any order) →
-	// reorder buffer (table order, 1-based seq) → ndjson stream, with
-	// seq <= after_seq filtered out on a resume. The sweep itself runs on the
-	// coordinator's context, not the client's: a dropped connection stops the
-	// stream but the shards keep resolving into caches and the job is still
-	// journaled done, so the client's reconnect (same stream token, its last
-	// seq as after_seq) replays only what it missed — from cache, cheaply.
+	// The sweep runs on this handler goroutine's pool. Events flow: shard
+	// completion (any order) → reorder buffer (table order, 1-based seq) →
+	// ndjson stream, with seq <= after_seq filtered out on a resume. The sweep
+	// itself runs on the coordinator's context, not the client's: a dropped
+	// connection stops the stream but the shards keep resolving into caches
+	// and the job is still journaled done, so the client's reconnect (same
+	// stream token, its last seq as after_seq) replays only what it missed —
+	// from cache, cheaply.
 	clientCtx := r.Context()
 	sweepCtx := c.baseCtx
 	if req.DeadlineMillis > 0 {
@@ -540,72 +420,33 @@ func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		sweepCtx, cancel = context.WithTimeout(sweepCtx, time.Duration(req.DeadlineMillis)*time.Millisecond)
 		defer cancel()
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var wmu sync.Mutex
-	emitEvent := func(ev service.StreamEvent) {
-		if clientCtx.Err() != nil {
-			return // client gone: the sweep outlives the stream
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
+	send := service.StreamWriter(w)
+	emit := func(ev service.StreamEvent) {
+		if clientCtx.Err() == nil { // a gone client ends the stream, not the sweep
+			send(ev)
 		}
 	}
-	emitEvent(service.StreamEvent{Type: "start", ID: req.ID, Stream: req.Stream,
+	emit(service.StreamEvent{Type: "start", ID: req.ID, Stream: req.Stream,
 		Job: fmt.Sprintf("c%d", c.jobSeq.Add(1))})
 
-	st, tables, err := c.runSweep(sweepCtx, req, emitEvent)
+	tables, st, err := c.runSweep(sweepCtx, req, emit)
+	c.finishJob(req.ID, "experiment", err)
 	if err != nil {
-		c.finishJob(req.ID, "experiment", err)
-		emitEvent(service.StreamEvent{Type: "error", ID: req.ID, Err: err.Error(),
-			Retryable: IsRetryable(err)})
+		emit(service.StreamEvent{Type: "error", ID: req.ID, Err: err.Error(), Retryable: IsRetryable(err)})
 		return
 	}
-	for _, t := range tables {
-		var buf strings.Builder
-		t.Format(&buf)
-		emitEvent(service.StreamEvent{Type: "table", ID: t.ID, Text: buf.String()})
-	}
-	c.finishJob(req.ID, "experiment", nil)
-	emitEvent(service.StreamEvent{Type: "done", ID: req.ID, Points: st.Points,
-		Cycles: st.Cycles, WallSeconds: st.Wall.Seconds()})
+	service.EmitResults(emit, req.ID, tables, st)
 }
 
-// runSweep plans one experiment, resolves its standard points through the
-// cluster (custom-harness points run locally; see experiments.Options
-// .Resolver), and emits point events in deterministic table order through
-// the shared reorder buffer — the same one the single-node daemon streams
-// through, so cluster and single-node streams are byte-identical. Points
-// with seq <= req.AfterSeq are suppressed: a resumed stream re-runs the
-// sweep (cache hits) but re-delivers only what the client has not seen.
+// runSweep resolves one experiment through the cluster: its standard points
+// are shards (custom-harness points run locally; see experiments.Options
+// .Resolver), streamed through service.Sweep exactly as a single daemon
+// streams them.
 func (c *Coordinator) runSweep(ctx context.Context, req service.ExperimentRequest,
-	emitEvent func(service.StreamEvent)) (experiments.SweepStats, []*experiments.Table, error) {
-	ro := service.NewReorder(nil, func(seq int64, ev experiments.PointEvent) {
-		if seq > 0 && seq <= req.AfterSeq {
-			return
-		}
-		out := service.StreamEvent{
-			Type: "point", Seq: seq, Tag: ev.Tag, X: ev.X,
-			McastLat: ev.McastLatency, UniLat: ev.UniLatency,
-			Throughput: ev.Throughput, Saturated: ev.Saturated,
-			Dropped: ev.DestsDropped, Violations: ev.Violations,
-			Cycles: ev.Cycles,
-		}
-		if ev.Err != nil {
-			out.Err = ev.Err.Error()
-		}
-		emitEvent(out)
-	})
-	opts := experiments.Options{
-		Quick:   req.Quick,
-		Seed:    req.Seed,
+	emit func(service.StreamEvent)) ([]*experiments.Table, experiments.SweepStats, error) {
+	return service.Sweep(req, experiments.Options{
 		Workers: c.sweepWorkers(),
 		Context: ctx,
-		OnPoint: func(ev experiments.PointEvent) { ro.Add(ev) },
 		Resolver: func(cfg core.Config, tag string) (stats.Results, int64, error) {
 			hash, canon, err := service.Hash(cfg)
 			if err != nil {
@@ -617,22 +458,7 @@ func (c *Coordinator) runSweep(ctx context.Context, req service.ExperimentReques
 			}
 			return res.res, res.cycles, nil
 		},
-	}
-	tables, err := experiments.Plan([]string{req.ID}, opts)
-	if err != nil {
-		return experiments.SweepStats{}, nil, err
-	}
-	// Points only resolve during Finish, so installing the planned order here
-	// — between Plan and Finish — races nothing.
-	ro.Reindex(experiments.PlannedTags(tables))
-	st, err := experiments.Finish([]string{req.ID}, tables, opts)
-	ro.Flush()
-	return st, tables, err
-}
-
-func (c *Coordinator) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string][]string{"experiments": experiments.IDs()})
+	}, emit)
 }
 
 // JoinRequest is the body of POST /v1/cluster/join.
@@ -649,14 +475,11 @@ type JoinResponse struct {
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	if !strings.HasPrefix(req.Peer, "http://") && !strings.HasPrefix(req.Peer, "https://") {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_peer",
+		service.WriteError(w, http.StatusBadRequest, service.APIError{Code: "bad_peer",
 			Message: fmt.Sprintf("peer %q is not an http(s) base URL", req.Peer)})
 		return
 	}
@@ -698,12 +521,5 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
+	service.WriteHealthz(w, c.draining.Load(), 1)
 }

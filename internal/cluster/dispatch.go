@@ -75,6 +75,17 @@ type retryableError struct{ err error }
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
+// verdictError is a worker's 422 verdict on a config (deadlock, invariant
+// violation, exceeded budget): the client gets the worker's structured
+// error, as from a single daemon, while the journal and stream events carry
+// the dispatch error string.
+type verdictError struct {
+	msg string
+	api service.APIError
+}
+
+func (e *verdictError) Error() string { return e.msg }
+
 // IsRetryable reports whether err represents a transient cluster condition
 // (dead peers, exhausted attempt budgets, timeouts) rather than a property
 // of the request itself.
@@ -168,7 +179,7 @@ func (c *Coordinator) runShard(hash string, canon core.Config, deadlineMillis in
 		case <-hedge:
 			hedge = nil
 			c.hedges.Add(1)
-			c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash,
+			c.journal.Append(service.JournalRec{Kind: recShardDispatch, Hash: hash,
 				JobKind: "shard", Error: "hedge"})
 			launch(1)
 			outstanding++
@@ -186,7 +197,7 @@ func (c *Coordinator) finishShard(hash string, err error) {
 		rec.Kind = recShardFailed
 		rec.Error = err.Error()
 	}
-	c.journalAppend(rec)
+	c.journal.Append(rec)
 }
 
 // Attempt verdicts.
@@ -269,7 +280,7 @@ func (c *Coordinator) attemptFrom(hash string, canon core.Config, start int, m *
 			lastErr = err
 			c.peers.markHealth(peer, false)
 			c.migrations.Add(1)
-			c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash,
+			c.journal.Append(service.JournalRec{Kind: recShardDispatch, Hash: hash,
 				JobKind: "shard", Peer: peer, Error: "migrate: " + err.Error()})
 			idx++
 		case vFatal:
@@ -318,7 +329,7 @@ func (c *Coordinator) attempt(peer, hash string, canon core.Config, m *mirror, d
 			c.peers.ReleaseDispatch(peer)
 		}
 	}()
-	c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash, JobKind: "shard", Peer: peer})
+	c.journal.Append(service.JournalRec{Kind: recShardDispatch, Hash: hash, JobKind: "shard", Peer: peer})
 	release := c.peers.beginShard(peer)
 	defer release()
 
@@ -379,12 +390,22 @@ func (c *Coordinator) attempt(peer, hash string, canon core.Config, m *mirror, d
 		// The worker's run outlived its wait deadline but continues server-side;
 		// re-asking eventually returns its cache hit.
 		return shardResult{}, vRetry, fmt.Errorf("peer %s still running %s", peer, hash)
+	}
+	e, msg := apiErr(body)
+	err = fmt.Errorf("peer %s: %s: %s", peer, resp.Status, msg)
+	switch {
 	case resp.StatusCode >= 500:
-		return shardResult{}, vMigrate, fmt.Errorf("peer %s: %s: %s", peer, resp.Status, apiErrMsg(body))
+		return shardResult{}, vMigrate, err
+	case resp.StatusCode == http.StatusUnprocessableEntity && e.Code != "":
+		// The configuration itself is rejected (deadlock, invariant
+		// violation, budget) — no other peer will disagree. The client gets
+		// the verdict less the worker's job id, which it cannot poll.
+		e.Job = ""
+		return shardResult{}, vFatal, &verdictError{msg: err.Error(), api: e}
 	default:
-		// 4xx: the configuration itself is rejected (deadlock, invariant
-		// violation, budget) — no other peer will disagree.
-		return shardResult{}, vFatal, fmt.Errorf("peer %s: %s: %s", peer, resp.Status, apiErrMsg(body))
+		// Any other 4xx — a worker refusing the worker key, say — would be
+		// the same answer from every peer.
+		return shardResult{}, vFatal, err
 	}
 }
 
@@ -437,7 +458,7 @@ func (c *Coordinator) mirrorLoop(peer, hash string, m *mirror, done <-chan struc
 // runLocal is the no-healthy-peers fallback: the coordinator runs the shard
 // itself, producing the identical response body a worker would have.
 func (c *Coordinator) runLocal(hash string, canon core.Config) (shardResult, error) {
-	c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash,
+	c.journal.Append(service.JournalRec{Kind: recShardDispatch, Hash: hash,
 		JobKind: "shard", Peer: "local"})
 	sim, err := core.New(canon)
 	if err != nil {
@@ -486,19 +507,17 @@ func retryAfter(resp *http.Response, fallback time.Duration) time.Duration {
 	return fallback
 }
 
-// apiErrMsg extracts the message of a structured error body, or echoes the
-// raw body truncated.
-func apiErrMsg(body []byte) string {
-	var e struct {
-		Error struct {
-			Message string `json:"message"`
-		} `json:"error"`
+// apiErr decodes a structured error body; msg is its message, or the raw
+// body truncated when it carries none.
+func apiErr(body []byte) (e service.APIError, msg string) {
+	var env struct {
+		Error service.APIError `json:"error"`
 	}
-	if json.Unmarshal(body, &e) == nil && e.Error.Message != "" {
-		return e.Error.Message
+	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
+		return env.Error, env.Error.Message
 	}
 	if len(body) > 200 {
 		body = body[:200]
 	}
-	return string(bytes.TrimSpace(body))
+	return service.APIError{}, string(bytes.TrimSpace(body))
 }

@@ -58,7 +58,7 @@ func authedDo(t *testing.T, method, url, key, body string) (*http.Response, []by
 func errCode(t *testing.T, body []byte) string {
 	t.Helper()
 	var e struct {
-		Error apiError `json:"error"`
+		Error APIError `json:"error"`
 	}
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("not an apiError body: %v (%s)", err, body)

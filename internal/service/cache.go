@@ -30,12 +30,13 @@ type cacheEntry struct {
 	val []byte
 }
 
-// NewCache returns a cache bounded to max in-memory entries (min 1). When
-// dir is non-empty it is created and used for write-through persistence;
-// entries evicted from memory remain readable from disk.
+// NewCache returns a cache bounded to max in-memory entries (1024 when max
+// is below 1). When dir is non-empty it is created and used for
+// write-through persistence; entries evicted from memory remain readable
+// from disk.
 func NewCache(max int, dir string) (*Cache, error) {
 	if max < 1 {
-		max = 1
+		max = 1024
 	}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -120,8 +120,7 @@ func OpenJournal(dir string) (*Journal, error) {
 
 // SetMaxBytes installs the size threshold beyond which Append compacts the
 // journal down to its pending-job records (0 disables size-triggered
-// compaction). Call it right after OpenJournal/ResetJournal, before records
-// accumulate.
+// compaction). Call it right after OpenJournal, before records accumulate.
 func (j *Journal) SetMaxBytes(n int64) {
 	j.mu.Lock()
 	j.maxBytes = n
@@ -129,8 +128,13 @@ func (j *Journal) SetMaxBytes(n int64) {
 }
 
 // Append writes one record and fsyncs: when Append returns, the transition
-// survives a crash.
+// survives a crash. On a nil journal (no cache directory) it does nothing.
+// Callers do not fail requests over an append error: the journal is
+// durability for restarts, not a correctness dependency of a running daemon.
 func (j *Journal) Append(rec JournalRec) error {
+	if j == nil {
+		return nil
+	}
 	if rec.At == "" {
 		rec.At = time.Now().UTC().Format(time.RFC3339Nano)
 	}
@@ -340,26 +344,41 @@ func ReplayJournal(dir string) ([]PendingJob, error) {
 	return out, nil
 }
 
-// ResetJournal atomically replaces the journal with an empty file and
-// returns it open for appending — the compaction step of recovery, run
-// after ReplayJournal so the new journal restarts from only the re-accepted
-// jobs.
-func ResetJournal(dir string) (*Journal, error) {
+// RecoverJournal opens a cache directory's journal for a restarting daemon
+// or coordinator: it replays the pending jobs, atomically replaces the file
+// with an empty one (the compaction step of recovery, so the new journal
+// restarts from only the jobs the caller re-accepts), and installs the size
+// bound — DefaultJournalMaxBytes for 0, none for a negative maxBytes.
+func RecoverJournal(dir string, maxBytes int64) (*Journal, []PendingJob, error) {
+	pending, err := ReplayJournal(dir)
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: journal dir: %w", err)
+		return nil, nil, fmt.Errorf("service: journal dir: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, "journal-*")
 	if err != nil {
-		return nil, fmt.Errorf("service: journal reset: %w", err)
+		return nil, nil, fmt.Errorf("service: journal reset: %w", err)
 	}
 	name := tmp.Name()
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
-		return nil, fmt.Errorf("service: journal reset: %w", err)
+		return nil, nil, fmt.Errorf("service: journal reset: %w", err)
 	}
 	if err := os.Rename(name, filepath.Join(dir, journalName)); err != nil {
 		os.Remove(name)
-		return nil, fmt.Errorf("service: journal reset: %w", err)
+		return nil, nil, fmt.Errorf("service: journal reset: %w", err)
 	}
-	return OpenJournal(dir)
+	j, err := OpenJournal(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case maxBytes > 0:
+		j.SetMaxBytes(maxBytes)
+	case maxBytes == 0:
+		j.SetMaxBytes(DefaultJournalMaxBytes)
+	}
+	return j, pending, nil
 }

@@ -331,7 +331,7 @@ func TestRejectionResponses(t *testing.T) {
 			t.Fatalf("Retry-After = %q, want >= 1 second", ra)
 		}
 		var e struct {
-			Error apiError `json:"error"`
+			Error APIError `json:"error"`
 		}
 		if err := json.Unmarshal(body, &e); err != nil {
 			t.Fatalf("body %s: %v", body, err)

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -139,9 +136,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.CacheEntries < 1 {
-		cfg.CacheEntries = 1024
-	}
 	if cfg.RunTimeout <= 0 {
 		cfg.RunTimeout = 2 * time.Minute
 	}
@@ -167,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
+	s.mux.HandleFunc("GET /v1/experiments", ListExperiments)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -186,27 +180,6 @@ func (s *Server) BeginDrain() { s.pool.BeginDrain() }
 // Drain stops intake and waits up to timeout for in-flight jobs to finish.
 func (s *Server) Drain(timeout time.Duration) bool { return s.pool.Drain(timeout) }
 
-// apiError is the structured error body of every non-2xx JSON response.
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Job     string `json:"job,omitempty"`
-	// RetryAfterSeconds mirrors the Retry-After header on 429/503 rejections
-	// so structured clients need not parse headers.
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-	// Retryable tells clients whether repeating the identical request can
-	// succeed: true for transient conditions (busy, quota, draining,
-	// timeout), false for properties of the request itself (bad config,
-	// deadlock, exceeded cycle budget).
-	Retryable bool `json:"retryable,omitempty"`
-}
-
-func writeErr(w http.ResponseWriter, status int, e apiError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]apiError{"error": e})
-}
-
 // writeRejected maps a Submit failure to its backpressure response: 429
 // "quota" past the tenant's own queue cap, 429 "busy" for a full global
 // backlog, 503 "draining" during shutdown (distinct codes, so clients know
@@ -216,59 +189,24 @@ func writeErr(w http.ResponseWriter, status int, e apiError) {
 // to wait out other tenants' backlogs (with no tenants configured, the one
 // anonymous queue makes this the historical global estimate).
 func (s *Server) writeRejected(w http.ResponseWriter, err error, t *Tenant) {
-	secs := int(s.pool.RetryAfterTenant(t).Round(time.Second).Seconds())
-	if secs < 1 {
-		secs = 1
-	}
+	secs := retrySeconds(s.pool.RetryAfterTenant(t))
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	e := APIError{Code: "unavailable", Message: err.Error(), RetryAfterSeconds: secs, Retryable: true}
+	status := http.StatusServiceUnavailable
 	switch {
 	case errors.Is(err, ErrTenantQueueFull):
-		writeErr(w, http.StatusTooManyRequests, apiError{
-			Code: "quota", Message: err.Error(), RetryAfterSeconds: secs, Retryable: true})
+		e.Code, status = "quota", http.StatusTooManyRequests
 	case errors.Is(err, ErrPoolFull):
-		writeErr(w, http.StatusTooManyRequests, apiError{
-			Code: "busy", Message: err.Error(), RetryAfterSeconds: secs, Retryable: true})
+		e.Code, status = "busy", http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
-		writeErr(w, http.StatusServiceUnavailable, apiError{
-			Code: "draining", Message: err.Error(), RetryAfterSeconds: secs, Retryable: true})
-	default:
-		writeErr(w, http.StatusServiceUnavailable, apiError{
-			Code: "unavailable", Message: err.Error(), RetryAfterSeconds: secs, Retryable: true})
+		e.Code = "draining"
 	}
+	WriteError(w, status, e)
 }
 
-// tenantFor authenticates a request. With no tenants configured every
-// request belongs to the anonymous tenant; in multi-tenant mode the request
-// must present "Authorization: Bearer <key>" for a configured key, or it is
-// rejected with a structured 401 (the response is already written when ok is
-// false).
-func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) (t *Tenant, ok bool) {
-	ts := s.tenants()
-	if ts == nil {
-		return anonymous, true
-	}
-	h := r.Header.Get("Authorization")
-	if h == "" {
-		s.writeUnauthorized(w, `missing Authorization header (want "Bearer <key>")`)
-		return nil, false
-	}
-	scheme, key, found := strings.Cut(h, " ")
-	key = strings.TrimSpace(key)
-	if !found || !strings.EqualFold(scheme, "Bearer") || key == "" {
-		s.writeUnauthorized(w, `malformed Authorization header (want "Bearer <key>")`)
-		return nil, false
-	}
-	t = ts.LookupKey(key)
-	if t == nil {
-		s.writeUnauthorized(w, "unknown API key")
-		return nil, false
-	}
-	return t, true
-}
-
-func (s *Server) writeUnauthorized(w http.ResponseWriter, msg string) {
-	w.Header().Set("WWW-Authenticate", `Bearer realm="mdwd"`)
-	writeErr(w, http.StatusUnauthorized, apiError{Code: "unauthorized", Message: msg})
+// retrySeconds rounds a Retry-After estimate to whole seconds, at least 1.
+func retrySeconds(d time.Duration) int {
+	return max(int(d.Round(time.Second).Seconds()), 1)
 }
 
 // tenantCacheHit records one tenant's result-cache outcome (multi-tenant
@@ -289,16 +227,6 @@ func (s *Server) tenantCacheHit(t *Tenant, hit bool) {
 	} else {
 		st.misses++
 	}
-}
-
-// journalAppend records a job transition when journaling is on. Journal
-// failures must not fail requests: the journal is durability for restarts,
-// not a correctness dependency of the running daemon.
-func (s *Server) journalAppend(rec JournalRec) {
-	if s.journal == nil {
-		return
-	}
-	_ = s.journal.Append(rec)
 }
 
 // RunRequest is the body of POST /v1/run.
@@ -348,31 +276,12 @@ func totalCycles(cfg core.Config) int64 {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tn, ok := Authenticate(w, r, s.tenants())
 	if !ok {
 		return
 	}
-	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	var cfg core.Config
-	if req.RawConfig != nil {
-		cfg = *req.RawConfig
-	} else {
-		resolved, err := req.Config.Resolve()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, apiError{Code: "bad_config", Message: err.Error()})
-			return
-		}
-		cfg = resolved
-	}
-	hash, canon, err := Hash(cfg)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "invalid_config", Message: err.Error()})
+	req, hash, canon, ok := DecodeRun(w, r)
+	if !ok {
 		return
 	}
 	budget := s.cfg.MaxCycles
@@ -391,7 +300,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if budget > 0 && totalCycles(canon) > budget {
-		writeErr(w, http.StatusUnprocessableEntity, apiError{
+		WriteError(w, http.StatusUnprocessableEntity, APIError{
 			Code: "cycle_budget_exceeded",
 			Message: fmt.Sprintf("config needs up to %d simulated cycles, budget is %d",
 				totalCycles(canon), budget),
@@ -401,11 +310,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	if body, ok := s.cache.Get(hash); ok {
 		s.tenantCacheHit(tn, true)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Mdwd-Cache", "hit")
-		w.Header().Set("X-Mdwd-Hash", hash)
-		w.Header().Set("X-Mdwd-Body-SHA256", BodySHA(body))
-		w.Write(body)
+		WriteResult(w, "hit", hash, body)
 		return
 	}
 	s.tenantCacheHit(tn, false)
@@ -414,10 +319,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// before it is queued, so a crash at any later point can rebuild it.
 	canonJSON, err := json.Marshal(canon)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
+		WriteError(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error()})
 		return
 	}
-	s.journalAppend(JournalRec{Kind: recAccepted, Hash: hash, JobKind: "run", Tenant: tn.Name, Config: canonJSON})
+	s.journal.Append(JournalRec{Kind: recAccepted, Hash: hash, JobKind: "run", Tenant: tn.Name, Config: canonJSON})
 
 	var body []byte
 	resume := req.Resume
@@ -429,7 +334,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The WAL entry must not outlive the rejection, or a restart would
 		// resurrect a job whose client was told to retry.
-		s.journalAppend(JournalRec{Kind: recFailed, Hash: hash, JobKind: "run", Tenant: tn.Name, Error: err.Error()})
+		s.journal.Append(JournalRec{Kind: recFailed, Hash: hash, JobKind: "run", Tenant: tn.Name, Error: err.Error()})
 		s.writeRejected(w, err, tn)
 		return
 	}
@@ -446,7 +351,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// Client gone; the job still finishes and populates the cache.
 		return
 	case <-timeout.C:
-		writeErr(w, http.StatusGatewayTimeout, apiError{
+		WriteError(w, http.StatusGatewayTimeout, APIError{
 			Code: "timeout", Job: job.ID, Retryable: true,
 			Message: fmt.Sprintf("run exceeded the %s wait deadline; it continues in the background (poll /v1/jobs/%s, then repeat the request for a cache hit)",
 				wait, job.ID),
@@ -457,22 +362,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeRunErr(w, job.ID, s.pool.Err(job.ID))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mdwd-Cache", "miss")
-	w.Header().Set("X-Mdwd-Hash", hash)
 	w.Header().Set("X-Mdwd-Job", job.ID)
-	w.Header().Set("X-Mdwd-Body-SHA256", BodySHA(body))
-	w.Write(body)
-}
-
-// BodySHA is the end-to-end integrity digest travelling in the
-// X-Mdwd-Body-SHA256 header of /v1/run responses. The coordinator verifies
-// the bytes it read against it, so response corruption anywhere on the
-// path (proxies, chaos injection, flaky NICs) is detected and retried
-// instead of silently merged into a sweep.
-func BodySHA(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
+	WriteResult(w, "miss", hash, body)
 }
 
 // checkpointPath returns where a run job's checkpoint blob lives; the hash
@@ -525,7 +416,7 @@ func (s *Server) executeRun(hash string, canon core.Config, resume []byte) ([]by
 			if werr := atomicWriteFile(ckptFile, data); werr != nil {
 				return nil // best-effort durability; the run itself continues
 			}
-			s.journalAppend(JournalRec{Kind: recCheckpoint, Hash: hash, JobKind: "run", File: ckptFile, Cycle: cycle})
+			s.journal.Append(JournalRec{Kind: recCheckpoint, Hash: hash, JobKind: "run", File: ckptFile, Cycle: cycle})
 			return nil
 		})
 	} else {
@@ -587,23 +478,13 @@ func atomicWriteFile(path string, data []byte) error {
 // clients are gone and their points land in no cache. An accepted job is
 // therefore never silently lost, and a finished one never re-runs.
 func (s *Server) recover() error {
-	pending, err := ReplayJournal(s.cfg.CacheDir)
-	if err != nil {
-		return err
-	}
-	j, err := ResetJournal(s.cfg.CacheDir)
+	j, pending, err := RecoverJournal(s.cfg.CacheDir, s.cfg.JournalMaxBytes)
 	if err != nil {
 		return err
 	}
 	s.journal = j
-	switch {
-	case s.cfg.JournalMaxBytes > 0:
-		j.SetMaxBytes(s.cfg.JournalMaxBytes)
-	case s.cfg.JournalMaxBytes == 0:
-		j.SetMaxBytes(DefaultJournalMaxBytes)
-	}
 	s.pool.onStart = func(job *Job) {
-		s.journalAppend(JournalRec{Kind: recRunning, Hash: job.Detail, JobKind: job.Kind, Tenant: job.Tenant})
+		s.journal.Append(JournalRec{Kind: recRunning, Hash: job.Detail, JobKind: job.Kind, Tenant: job.Tenant})
 	}
 	s.pool.onFinish = func(job *Job, jerr error) {
 		rec := JournalRec{Kind: recDone, Hash: job.Detail, JobKind: job.Kind, Tenant: job.Tenant}
@@ -611,31 +492,31 @@ func (s *Server) recover() error {
 			rec.Kind = recFailed
 			rec.Error = jerr.Error()
 		}
-		s.journalAppend(rec)
+		s.journal.Append(rec)
 	}
 
 	for _, p := range pending {
 		switch {
 		case p.JobKind == "experiment":
-			s.journalAppend(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind,
+			s.journal.Append(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind,
 				Error: "interrupted by daemon restart"})
 		case len(p.Config) == 0:
-			s.journalAppend(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind,
+			s.journal.Append(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind,
 				Error: "journal carries no configuration for this job"})
 		default:
 			if _, ok := s.cache.Get(p.Hash); ok {
 				// The run finished and published its result, but the crash
 				// beat the journal's done record; close it out.
-				s.journalAppend(JournalRec{Kind: recDone, Hash: p.Hash, JobKind: "run"})
+				s.journal.Append(JournalRec{Kind: recDone, Hash: p.Hash, JobKind: "run"})
 				continue
 			}
 			var canon core.Config
 			if err := json.Unmarshal(p.Config, &canon); err != nil {
-				s.journalAppend(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: "run",
+				s.journal.Append(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: "run",
 					Error: fmt.Sprintf("journaled config does not parse: %v", err)})
 				continue
 			}
-			s.journalAppend(JournalRec{Kind: recAccepted, Hash: p.Hash, JobKind: "run", Tenant: p.Tenant, Config: p.Config})
+			s.journal.Append(JournalRec{Kind: recAccepted, Hash: p.Hash, JobKind: "run", Tenant: p.Tenant, Config: p.Config})
 			hash, ckptFile := p.Hash, p.Checkpoint
 			s.pool.enqueueRecovered("run", hash, p.Tenant, func() (JobStats, error) {
 				var resume []byte
@@ -660,13 +541,13 @@ func writeRunErr(w http.ResponseWriter, jobID string, err error) {
 	var ie *engine.InvariantError
 	switch {
 	case errors.As(err, &de):
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "deadlock", Message: err.Error(), Job: jobID})
+		WriteError(w, http.StatusUnprocessableEntity, APIError{Code: "deadlock", Message: err.Error(), Job: jobID})
 	case errors.As(err, &ie):
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "invariant_violation", Message: err.Error(), Job: jobID})
+		WriteError(w, http.StatusUnprocessableEntity, APIError{Code: "invariant_violation", Message: err.Error(), Job: jobID})
 	case errors.Is(err, ErrJobPanic):
-		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error(), Job: jobID})
+		WriteError(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error(), Job: jobID})
 	default:
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "run_failed", Message: fmt.Sprint(err), Job: jobID})
+		WriteError(w, http.StatusUnprocessableEntity, APIError{Code: "run_failed", Message: fmt.Sprint(err), Job: jobID})
 	}
 }
 
@@ -737,49 +618,16 @@ type StreamEvent struct {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tn, ok := Authenticate(w, r, s.tenants())
 	if !ok {
 		return
 	}
-	var req ExperimentRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
+	req, ok := DecodeExperiment(w, r)
+	if !ok {
 		return
-	}
-	known := false
-	for _, id := range experiments.IDs() {
-		if id == req.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeErr(w, http.StatusNotFound, apiError{Code: "unknown_experiment",
-			Message: fmt.Sprintf("unknown experiment %q (GET /v1/experiments lists ids)", req.ID)})
-		return
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
 	}
 	if req.Workers <= 0 || req.Workers > s.cfg.Workers {
 		req.Workers = s.cfg.Workers
-	}
-	if req.Stream != "" && !ValidStreamToken(req.Stream) {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_stream",
-			Message: fmt.Sprintf("%q is not a stream token", req.Stream)})
-		return
-	}
-	if req.AfterSeq < 0 {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_cursor",
-			Message: "after_seq must be >= 0"})
-		return
-	}
-	stream := req.Stream
-	if stream == "" {
-		stream = NewStreamToken()
-		req.AfterSeq = 0
 	}
 
 	// The worker goroutine runs the sweep and feeds events through a
@@ -806,96 +654,38 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	// Experiments are journaled too — not to re-run them (their stream dies
 	// with the client), but so a restart can report them failed instead of
 	// losing an accepted job without a trace.
-	s.journalAppend(JournalRec{Kind: recAccepted, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name})
+	s.journal.Append(JournalRec{Kind: recAccepted, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name})
 	job, err := s.pool.SubmitTenant("experiment", req.ID, tn, func() (JobStats, error) {
 		defer close(events)
-		observer := &obs.SweepObserver{SampleEvery: 256}
-		// Points stream in planned table order (not completion order), so
-		// the event sequence is deterministic for any worker count — the
-		// property that makes both the seq resume cursor and cluster/
-		// single-node byte-identity work.
-		ro := NewReorder(nil, func(seq int64, ev experiments.PointEvent) {
-			if seq > 0 && seq <= req.AfterSeq {
-				return // the resuming client already consumed this point
-			}
-			out := StreamEvent{
-				Type: "point", Seq: seq, Tag: ev.Tag, X: ev.X,
-				McastLat: ev.McastLatency, UniLat: ev.UniLatency,
-				Throughput: ev.Throughput, Saturated: ev.Saturated,
-				Dropped: ev.DestsDropped, Violations: ev.Violations,
-				Cycles: ev.Cycles,
-			}
-			if ev.Err != nil {
-				out.Err = ev.Err.Error()
-			}
-			emit(out)
-		})
-		opts := experiments.Options{
-			Quick:    req.Quick,
-			Seed:     req.Seed,
-			Workers:  req.Workers,
-			Context:  sweepCtx,
-			Observer: observer,
-			OnPoint:  ro.Add,
-		}
-		ids := []string{req.ID}
-		emitErr := func(err error) {
-			retryable := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-			emit(StreamEvent{Type: "error", ID: req.ID, Err: err.Error(), Retryable: retryable})
-		}
-		tables, err := experiments.Plan(ids, opts)
-		if err != nil {
-			emitErr(err)
-			return JobStats{}, err
-		}
-		ro.Reindex(experiments.PlannedTags(tables))
-		st, err := experiments.Finish(ids, tables, opts)
-		ro.Flush()
+		tables, st, err := Sweep(req, experiments.Options{Workers: req.Workers, Context: sweepCtx,
+			Observer: &obs.SweepObserver{SampleEvery: 256}}, emit)
 		jst := JobStats{Points: st.Points, Cycles: st.Cycles, Violations: st.Violations,
 			Occupancy: st.Occupancy.PeakOccupancy()}
 		if err != nil {
-			emitErr(err)
+			retryable := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+			emit(StreamEvent{Type: "error", ID: req.ID, Err: err.Error(), Retryable: retryable})
 			return jst, err
 		}
-		for _, t := range tables {
-			var buf strings.Builder
-			t.Format(&buf)
-			emit(StreamEvent{Type: "table", ID: t.ID, Text: buf.String()})
-		}
-		emit(StreamEvent{Type: "done", ID: req.ID, Points: st.Points,
-			Cycles: st.Cycles, WallSeconds: st.Wall.Seconds()})
+		EmitResults(emit, req.ID, tables, st)
 		return jst, nil
 	})
 	if err != nil {
-		s.journalAppend(JournalRec{Kind: recFailed, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name, Error: err.Error()})
+		s.journal.Append(JournalRec{Kind: recFailed, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name, Error: err.Error()})
 		s.writeRejected(w, err, tn)
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Mdwd-Job", job.ID)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.Encode(StreamEvent{Type: "start", ID: req.ID, Job: job.ID, Stream: stream})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	send := StreamWriter(w)
+	send(StreamEvent{Type: "start", ID: req.ID, Job: job.ID, Stream: req.Stream})
 	for ev := range events {
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		send(ev)
 	}
 	<-job.Done()
 }
 
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string][]string{"experiments": experiments.IDs()})
-}
-
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tn, ok := Authenticate(w, r, s.tenants())
 	if !ok {
 		return
 	}
@@ -910,7 +700,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tn, ok := Authenticate(w, r, s.tenants())
 	if !ok {
 		return
 	}
@@ -918,7 +708,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !found || (s.tenants() != nil && v.Tenant != tn.Name) {
 		// Another tenant's job is indistinguishable from a nonexistent one:
 		// job ids are sequential, and existence alone leaks traffic shape.
-		writeErr(w, http.StatusNotFound, apiError{Code: "unknown_job",
+		WriteError(w, http.StatusNotFound, APIError{Code: "unknown_job",
 			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
 		return
 	}
@@ -937,23 +727,23 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// In multi-tenant mode the mirror endpoint requires a valid key like the
 	// rest of /v1 (a cluster coordinator authenticates with its worker key);
 	// blobs are not tenant-scoped — they are keyed by content hash.
-	if _, ok := s.tenantFor(w, r); !ok {
+	if _, ok := Authenticate(w, r, s.tenants()); !ok {
 		return
 	}
 	hash := r.PathValue("hash")
 	if !validKey(hash) {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_hash",
+		WriteError(w, http.StatusBadRequest, APIError{Code: "bad_hash",
 			Message: fmt.Sprintf("%q is not a config hash", hash)})
 		return
 	}
 	if s.cfg.CacheDir == "" {
-		writeErr(w, http.StatusNotFound, apiError{Code: "no_checkpoint",
+		WriteError(w, http.StatusNotFound, APIError{Code: "no_checkpoint",
 			Message: "daemon runs without a cache directory"})
 		return
 	}
 	blob, err := os.ReadFile(s.checkpointPath(hash))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, apiError{Code: "no_checkpoint",
+		WriteError(w, http.StatusNotFound, APIError{Code: "no_checkpoint",
 			Message: fmt.Sprintf("no checkpoint for %s", hash)})
 		return
 	}
@@ -962,20 +752,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.pool.Draining() {
-		// Load balancers and retrying clients read the hint even off the
-		// plain-text health probe.
-		secs := int(s.pool.RetryAfter().Round(time.Second).Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
+	draining, secs := s.pool.Draining(), 0
+	if draining {
+		secs = retrySeconds(s.pool.RetryAfter()) // walks the job table: only when asked
 	}
-	fmt.Fprintln(w, "ok")
+	WriteHealthz(w, draining, secs)
 }
 
 // handleMetrics reports the daemon's counters in the Prometheus text

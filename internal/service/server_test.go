@@ -192,7 +192,7 @@ func TestCycleBudget(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var e struct {
-		Error apiError `json:"error"`
+		Error APIError `json:"error"`
 	}
 	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != "cycle_budget_exceeded" {
 		t.Fatalf("error body: %s (%v)", body, err)
@@ -231,7 +231,7 @@ func TestInvalidConfig(t *testing.T) {
 			continue
 		}
 		var e struct {
-			Error apiError `json:"error"`
+			Error APIError `json:"error"`
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code == "" {
 			t.Errorf("%s: unstructured error %s", tc.body, body)
@@ -420,7 +420,7 @@ func TestRunTimeoutBackground(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}
 	var e struct {
-		Error apiError `json:"error"`
+		Error APIError `json:"error"`
 	}
 	if err := json.Unmarshal(b, &e); err != nil || e.Error.Code != "timeout" || e.Error.Job == "" {
 		t.Fatalf("timeout body: %s", b)
@@ -502,7 +502,7 @@ func TestRunDeadlockStructuredError(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var e struct {
-		Error apiError `json:"error"`
+		Error APIError `json:"error"`
 	}
 	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != "deadlock" || e.Error.Job == "" {
 		t.Fatalf("error body: %s (%v)", body, err)
@@ -555,7 +555,7 @@ func TestRunFaultErrors(t *testing.T) {
 			continue
 		}
 		var e struct {
-			Error apiError `json:"error"`
+			Error APIError `json:"error"`
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != tc.code {
 			t.Errorf("%s: error %s, want code %q", tc.body, body, tc.code)
@@ -571,7 +571,7 @@ func TestRunRejectsWideSwitch(t *testing.T) {
 		body := `{"config":{"arity":33,"stages":1,"arch":"` + arch + `"}}`
 		resp, got := postRun(t, ts.URL, body)
 		var e struct {
-			Error apiError `json:"error"`
+			Error APIError `json:"error"`
 		}
 		if resp.StatusCode != http.StatusUnprocessableEntity ||
 			json.Unmarshal(got, &e) != nil || e.Error.Code != "invalid_config" {

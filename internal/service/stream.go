@@ -9,18 +9,17 @@ import (
 	"mdworm/internal/experiments"
 )
 
-// Reorder is the planned-order point-event merge buffer shared by the
-// single-node experiment handler and the cluster coordinator. Points
-// complete in whatever order the pool (or the fleet) resolves them, but
-// the ndjson stream must be deterministic — identical for any worker
-// count, any peer count, and any failure schedule — so events are buffered
-// by their planned sequence number (table order, from
-// experiments.PlannedTags) and released as the contiguous prefix grows.
+// reorder is the planned-order point-event merge buffer behind Sweep. Points
+// complete in whatever order the pool (or the fleet) resolves them, but the
+// ndjson stream must be deterministic — identical for any worker count, any
+// peer count, and any failure schedule — so events are buffered by their
+// planned sequence number (table order, from experiments.PlannedTags) and
+// released as the contiguous prefix grows.
 //
 // The emitted sequence numbers are 1-based positions in the planned order;
 // they are the resume cursor of the stream protocol: a client that saw
 // seq N reconnects with after_seq=N and is re-sent only seq > N.
-type Reorder struct {
+type reorder struct {
 	mu   sync.Mutex
 	seq  map[string]int
 	buf  map[int]experiments.PointEvent
@@ -28,21 +27,16 @@ type Reorder struct {
 	emit func(seq int64, ev experiments.PointEvent)
 }
 
-// NewReorder builds a buffer over the planned tag order. Duplicate tags
-// cannot occur: tags embed experiment id, series, and sweep coordinate.
-func NewReorder(tags []string, emit func(seq int64, ev experiments.PointEvent)) *Reorder {
-	seq := make(map[string]int, len(tags))
-	for i, t := range tags {
-		seq[t] = i
-	}
-	return &Reorder{seq: seq, buf: make(map[int]experiments.PointEvent), emit: emit}
+func newReorder(emit func(seq int64, ev experiments.PointEvent)) *reorder {
+	return &reorder{seq: make(map[string]int), buf: make(map[int]experiments.PointEvent), emit: emit}
 }
 
-// Reindex installs the planned tag order after the fact, for callers that
-// must wire their OnPoint callback before experiments.Plan produces the
-// tags (Plan captures its Options). It must run before any point resolves
-// — i.e. between Plan and Finish.
-func (r *Reorder) Reindex(tags []string) {
+// reindex installs the planned tag order. The OnPoint callback must be wired
+// before experiments.Plan produces the tags (Plan captures its Options), so
+// the order arrives after the fact; it must be installed before any point
+// resolves — i.e. between Plan and Finish. Duplicate tags cannot occur: tags
+// embed experiment id, series, and sweep coordinate.
+func (r *reorder) reindex(tags []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, t := range tags {
@@ -50,9 +44,9 @@ func (r *Reorder) Reindex(tags []string) {
 	}
 }
 
-// Add accepts one completed point event and emits every event of the now
+// add accepts one completed point event and emits every event of the now
 // contiguous prefix, in order.
-func (r *Reorder) Add(ev experiments.PointEvent) {
+func (r *reorder) add(ev experiments.PointEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i, ok := r.seq[ev.Tag]
@@ -66,7 +60,7 @@ func (r *Reorder) Add(ev experiments.PointEvent) {
 	r.drainLocked()
 }
 
-func (r *Reorder) drainLocked() {
+func (r *reorder) drainLocked() {
 	for {
 		ev, ok := r.buf[r.next]
 		if !ok {
@@ -78,10 +72,10 @@ func (r *Reorder) drainLocked() {
 	}
 }
 
-// Flush emits whatever is still buffered, in sequence order — called after
+// flush emits whatever is still buffered, in sequence order — called after
 // the sweep finishes, when gaps can exist (a canceled sweep fails points
 // without emitting events).
-func (r *Reorder) Flush() {
+func (r *reorder) flush() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx := make([]int, 0, len(r.buf))

@@ -49,9 +49,6 @@ type Tenant struct {
 // JobView and journal records byte-identical to the pre-tenant daemon.
 var anonymous = &Tenant{Name: "", Weight: 1}
 
-// AnonymousTenant returns the implicit no-auth tenant.
-func AnonymousTenant() *Tenant { return anonymous }
-
 // TenantSet is a parsed tenants file: the key table the server authenticates
 // against.
 type TenantSet struct {

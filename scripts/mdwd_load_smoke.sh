@@ -5,12 +5,15 @@
 # deliberately generous floor — this is a smoke gate against regressions that
 # wedge or grossly slow the scheduler, not a benchmark. Along the way, check
 # that auth actually gates the API and that the per-tenant metric families
-# show up. CI uploads the appended BENCH_load.json history as an artifact.
+# show up. Last, a coordinator over the daemon takes -tenants and -worker-key:
+# it must answer 401 without a key, run and count a tenant's request, and
+# drain cleanly. CI uploads the appended BENCH_load.json history as an
+# artifact.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+trap 'kill -9 $(jobs -p) 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/mdwd" ./cmd/mdwd
 go build -o "$workdir/mdwbench" ./cmd/mdwbench
@@ -73,8 +76,27 @@ grep -q 'mdwd_tenant_weight{tenant="gold"} 4' "$workdir/metrics" \
 grep -q 'mdwd_tenant_jobs_completed{tenant="gold"}' "$workdir/metrics" \
     || { echo "per-tenant job accounting missing"; exit 1; }
 
+# The coordinator's tenant flags, end to end: it authenticates its clients
+# against the same tenants file, counts their runs per tenant, and dispatches
+# to the (multi-tenant) daemon above with its own worker key.
+"$workdir/mdwd" -addr 127.0.0.1:0 -coordinator -peers "http://$addr" \
+    -tenants "$workdir/tenants" -worker-key smoke-key-gold >"$workdir/clog" 2>&1 &
+cpid=$!
+caddr=$(wait_addr "$cpid" "$workdir/clog")
+status=$(curl -sS -o "$workdir/cunauth" -w '%{http_code}' -d "$body" "http://$caddr/v1/run")
+[ "$status" = 401 ] || { echo "coordinator run without a key returned $status, want 401:"; cat "$workdir/cunauth"; exit 1; }
+grep -q '"code":"unauthorized"' "$workdir/cunauth" || { echo "coordinator 401 not structured:"; cat "$workdir/cunauth"; exit 1; }
+curl -fsS -o /dev/null -H 'Authorization: Bearer smoke-key-silver' -d "$body" "http://$caddr/v1/run" \
+    || { echo "coordinator run with key silver failed:"; cat "$workdir/clog"; exit 1; }
+curl -fsS "http://$caddr/metrics" >"$workdir/cmetrics"
+grep -q '^mdwd_tenant_runs_total{tenant="silver"} 1$' "$workdir/cmetrics" \
+    || { echo "coordinator tenant counters missing:"; grep mdwd_tenant "$workdir/cmetrics" || true; exit 1; }
+kill -TERM "$cpid"
+wait "$cpid" || { code=$?; echo "coordinator exited $code after SIGTERM:"; cat "$workdir/clog"; exit 1; }
+grep -q 'drained cleanly' "$workdir/clog" || { echo "coordinator reported no clean drain:"; cat "$workdir/clog"; exit 1; }
+
 kill -TERM "$pid"
 wait "$pid" || { code=$?; echo "mdwd exited $code after SIGTERM:"; cat "$workdir/log"; exit 1; }
 grep -q 'drained cleanly' "$workdir/log" || { echo "no clean drain reported:"; cat "$workdir/log"; exit 1; }
 
-echo "mdwd load smoke: 401 without key, 10s two-tenant soak clean (no 5xx, p99 under floor), tenant metrics present, graceful drain OK"
+echo "mdwd load smoke: 401 without key, 10s two-tenant soak clean (no 5xx, p99 under floor), tenant metrics present, coordinator tenant flags (401, silver run counted, worker key) OK, graceful drains OK"
