@@ -99,16 +99,27 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
+	// Flags only one mode reads, each mapped to whether that mode is
+	// -coordinator: set in the other mode they would be silently ignored.
+	modeOnly := map[string]bool{"peers": true, "hedge-after": true, "worker-key": true,
+		"workers": false, "backlog": false, "max-cycles": false, "run-timeout": false,
+		"checkpoint-every": false, "job-deadline": false, "deadline-cycles-per-sec": false}
+	misplaced := ""
+	fs.Visit(func(f *flag.Flag) {
+		if coord, ok := modeOnly[f.Name]; ok && coord != *coordinator && misplaced == "" {
+			misplaced = f.Name
+		}
+	})
+	if misplaced != "" {
+		fmt.Fprintf(stderr, "mdwd: -%s has no effect with -coordinator=%v\n", misplaced, *coordinator)
+		return 2
+	}
 	if *ckptEvery > 0 && *cacheDir == "" {
 		fmt.Fprintln(stderr, "mdwd: -checkpoint-every needs -cache-dir (checkpoints and the job journal live there)")
 		return 2
 	}
 	if *coordinator && *join != "" {
 		fmt.Fprintln(stderr, "mdwd: -coordinator and -join are mutually exclusive (a daemon is either the coordinator or a worker)")
-		return 2
-	}
-	if *workerKey != "" && !*coordinator {
-		fmt.Fprintln(stderr, "mdwd: -worker-key only applies to -coordinator (workers accept keys via -tenants)")
 		return 2
 	}
 

@@ -93,6 +93,31 @@ func TestFlagErrors(t *testing.T) {
 	}
 }
 
+// TestFlagModeErrors: a flag only the other mode reads fails with exit code
+// 2 naming it, in both directions, before binding a socket.
+func TestFlagModeErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-coordinator", "-workers", "2"},
+		{"-coordinator", "-backlog", "8"},
+		{"-coordinator", "-max-cycles", "1000"},
+		{"-coordinator", "-run-timeout", "1ms"},
+		{"-coordinator", "-checkpoint-every", "100"},
+		{"-coordinator", "-job-deadline", "1s"},
+		{"-coordinator", "-deadline-cycles-per-sec", "1e6"},
+		{"-peers", "http://127.0.0.1:1"},
+		{"-hedge-after", "1s"},
+		{"-worker-key", "k"},
+	} {
+		var stdout, stderr bytes.Buffer
+		flagName := args[len(args)-2]
+		if code := run(append(args, "-addr", "256.0.0.1:99999"), &stdout, &stderr, nil); code != 2 {
+			t.Errorf("%v: exit %d, want 2\n%s", args, code, stderr.String())
+		} else if !strings.Contains(stderr.String(), flagName) {
+			t.Errorf("%v: stderr does not name %s: %s", args, flagName, stderr.String())
+		}
+	}
+}
+
 // TestBindError: an unbindable address is a startup failure, not a hang.
 func TestBindError(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		reps     = fs.Int("reps", 1, "replicate the run over this many consecutive seeds")
 		workers  = fs.Int("workers", 0, "concurrent replicas when -reps > 1 (0 = GOMAXPROCS)")
 		faultArg = fs.String("faults", "", "fault plan spec like 'link-down@1000:sw3.p2;nic-stall@500+200:n5', or @file holding one")
-		collKind = fs.String("collective", "", "drive a phase-structured collective: barrier, broadcast, all-reduce, all-reduce-gather, scatter, gather")
+		collKind = fs.String("collective", "", "drive a phase-structured collective: "+strings.Join(mdworm.CollectiveKinds(), ", "))
 		collPay  = fs.Int("coll-payload", 64, "collective payload flits per step (per node for scatter/gather)")
 		collReps = fs.Int("coll-reps", 10, "collective repetitions")
 		collSkew = fs.Int64("coll-skew", 0, "max per-node collective arrival skew in cycles (deterministic draws)")

@@ -17,6 +17,7 @@ import (
 	"mdworm/internal/core"
 	"mdworm/internal/experiments"
 	"mdworm/internal/service"
+	"mdworm/internal/stats"
 )
 
 // startWorker spins up one in-process worker daemon behind httptest.
@@ -505,9 +506,6 @@ func TestCoordinatorRunDeadlockStructuredError(t *testing.T) {
 	dir := t.TempDir()
 	_, w1 := startWorker(t, service.Config{Workers: 1})
 	_, coord := startCoordinator(t, Config{Peers: []string{w1.URL}, CacheDir: dir})
-	// Every up port of stage-0 switch sw0 freezes: the watchdog reports a
-	// deadlock.
-	wedge := `{"config":{"stages":2,"degree":4,"warmup_cycles":200,"measure_cycles":800,"drain_cycles":50000,"op_rate":0.01,"seed":3,"watchdog_limit":10000,"faults_spec":"port-stuck@300:sw0.p4;port-stuck@300:sw0.p5;port-stuck@300:sw0.p6;port-stuck@300:sw0.p7"}}`
 	resp, body := postRun(t, w1.URL, wedge)
 	direct := decodeErr(t, body)
 	if resp.StatusCode != http.StatusUnprocessableEntity || direct.Error.Code != "deadlock" {
@@ -524,6 +522,95 @@ func TestCoordinatorRunDeadlockStructuredError(t *testing.T) {
 		if r.Kind == service.RecFailed && r.JobKind == "run" && r.Error != want {
 			t.Errorf("journaled run failure %q, want %q", r.Error, want)
 		}
+	}
+}
+
+// wedge is a run whose fabric deadlocks: every up port of stage-0 switch
+// sw0 freezes, and the watchdog reports it.
+const wedge = `{"config":{"stages":2,"degree":4,"warmup_cycles":200,"measure_cycles":800,"drain_cycles":50000,"op_rate":0.01,"seed":3,"watchdog_limit":10000,"faults_spec":"port-stuck@300:sw0.p4;port-stuck@300:sw0.p5;port-stuck@300:sw0.p6;port-stuck@300:sw0.p7"}}`
+
+// TestCoordinatorLocalRunDeadlock: with no peer to dispatch to, the
+// coordinator runs the shard itself and answers its deadlock as a daemon
+// does: 422 deadlock with the daemon's message and no job id.
+func TestCoordinatorLocalRunDeadlock(t *testing.T) {
+	_, w1 := startWorker(t, service.Config{Workers: 1})
+	_, coord := startCoordinator(t, Config{})
+	resp, body := postRun(t, w1.URL, wedge)
+	direct := decodeErr(t, body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || direct.Error.Code != "deadlock" {
+		t.Fatalf("daemon: %d %s", resp.StatusCode, body)
+	}
+	resp, body = postRun(t, coord.URL, wedge)
+	got := decodeErr(t, body)
+	if resp.StatusCode != http.StatusUnprocessableEntity || got.Error.Code != "deadlock" ||
+		got.Error.Message != direct.Error.Message || got.Error.Job != "" || got.Error.Retryable {
+		t.Fatalf("coordinator: %d %s, want the daemon's deadlock answer without a job id", resp.StatusCode, body)
+	}
+}
+
+// TestClusterConvertedPointsAreShards: the single-multicast and barrier
+// experiments stream through a coordinator over two workers with the tables
+// and done events of a single daemon, and every distinct config among their
+// points reaches a worker.
+func TestClusterConvertedPointsAreShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick sweeps")
+	}
+	ids := []string{"e8", "a5", "a6", "a8"}
+	// Generous backlogs keep every dispatch a first attempt, so the peers'
+	// counts are exactly the shards.
+	_, single := startWorker(t, service.Config{Workers: 2})
+	_, w1 := startWorker(t, service.Config{Workers: 2, Backlog: 64})
+	_, w2 := startWorker(t, service.Config{Workers: 2, Backlog: 64})
+	c, coord := startCoordinator(t, Config{Peers: []string{w1.URL, w2.URL}})
+	for _, id := range ids {
+		_, wantTables, wantDone := streamExperiment(t, single.URL, id)
+		_, gotTables, gotDone := streamExperiment(t, coord.URL, id)
+		if gotTables != wantTables {
+			t.Fatalf("%s: cluster tables differ from single-node tables:\n--- cluster ---\n%s\n--- single ---\n%s", id, gotTables, wantTables)
+		}
+		gotDone.WallSeconds, wantDone.WallSeconds = 0, 0
+		if gotDone != wantDone {
+			t.Errorf("%s: done event: cluster %+v, single %+v", id, gotDone, wantDone)
+		}
+	}
+
+	// The distinct configs of every planned point, as a coordinator's
+	// Resolver sees them.
+	distinct := map[string]bool{}
+	resolved := 0
+	o := experiments.Options{Quick: true, Seed: 1, Workers: 1,
+		Resolver: func(cfg core.Config, tag string) (stats.Results, int64, error) {
+			resolved++
+			hash, canon, err := service.Hash(cfg)
+			if err != nil {
+				return stats.Results{}, 0, err
+			}
+			distinct[hash] = true
+			sim, err := core.New(canon)
+			if err != nil {
+				return stats.Results{}, 0, err
+			}
+			res, err := sim.Run()
+			return res, sim.Now(), err
+		}}
+	tables, err := experiments.Plan(ids, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := len(experiments.PlannedTags(tables))
+	if _, err := experiments.Finish(ids, tables, o); err != nil {
+		t.Fatal(err)
+	}
+	if resolved != planned {
+		t.Fatalf("the Resolver saw %d of %d planned points", resolved, planned)
+	}
+	var dispatched int64
+	for _, v := range c.peers.Views() {
+		dispatched += v.Dispatched
+	}
+	if dispatched != int64(len(distinct)) {
+		t.Fatalf("workers received %d shards, want one per distinct config (%d)", dispatched, len(distinct))
 	}
 }
 

@@ -363,13 +363,16 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		c.finishJob(hash, "run", err)
 		// A worker's 422 verdict on the config is answered as the worker gave
-		// it; any other failure is run_failed.
-		e := service.APIError{Code: "run_failed", Message: err.Error(), Retryable: IsRetryable(err)}
+		// it; any other failure, a local run's included, as a daemon answers
+		// its own.
 		var v *verdictError
 		if errors.As(err, &v) {
-			e = v.api
+			service.WriteError(w, http.StatusUnprocessableEntity, v.api)
+			return
 		}
-		service.WriteError(w, http.StatusUnprocessableEntity, e)
+		status, e := service.RunError("", err)
+		e.Retryable = IsRetryable(err)
+		service.WriteError(w, status, e)
 		return
 	}
 	c.finishJob(hash, "run", nil)
@@ -438,10 +441,9 @@ func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	service.EmitResults(emit, req.ID, tables, st)
 }
 
-// runSweep resolves one experiment through the cluster: its standard points
-// are shards (custom-harness points run locally; see experiments.Options
-// .Resolver), streamed through service.Sweep exactly as a single daemon
-// streams them.
+// runSweep resolves one experiment through the cluster: its points are
+// shards (see experiments.Options.Resolver), streamed through service.Sweep
+// exactly as a single daemon streams them.
 func (c *Coordinator) runSweep(ctx context.Context, req service.ExperimentRequest,
 	emit func(service.StreamEvent)) ([]*experiments.Table, experiments.SweepStats, error) {
 	return service.Sweep(req, experiments.Options{

@@ -33,17 +33,27 @@ const (
 	// software mode combines up a binomial tree (intermediate messages
 	// carry their whole subtree's data).
 	Gather
+	// Multicast is one multicast per rep from a source to Traffic.Degree
+	// destinations, both drawn among the participants from the run's seed
+	// (the idle-network single-multicast measurement).
+	Multicast
+	// CombiningBarrier is the in-switch combining barrier: every node's
+	// single-flit token is combined by the switches themselves, and the
+	// root switch broadcasts the release. It always spans every node.
+	CombiningBarrier
 
 	kindCount
 )
 
 var kindNames = [kindCount]string{
-	Barrier:         "barrier",
-	Broadcast:       "broadcast",
-	AllReduce:       "all-reduce",
-	AllReduceGather: "all-reduce-gather",
-	Scatter:         "scatter",
-	Gather:          "gather",
+	Barrier:          "barrier",
+	Broadcast:        "broadcast",
+	AllReduce:        "all-reduce",
+	AllReduceGather:  "all-reduce-gather",
+	Scatter:          "scatter",
+	Gather:           "gather",
+	Multicast:        "multicast",
+	CombiningBarrier: "combining-barrier",
 }
 
 // String names the kind.
@@ -259,7 +269,9 @@ func BuildSchedule(sp Spec, n int, hw bool) (Schedule, error) {
 		deps, ph := combineUp(func(int) int { return 1 })
 		b.add(root, others(), true, 1, ph+1, deps)
 
-	case Broadcast:
+	case Broadcast, Multicast, CombiningBarrier:
+		// The core driver redraws a Multicast step every rep and launches
+		// switch tokens for a CombiningBarrier step.
 		b.add(root, others(), true, pay, 1, nil)
 
 	case AllReduce:

@@ -86,9 +86,9 @@ func TestBuildScheduleShapes(t *testing.T) {
 						if last.Src != root || !last.Multicast || len(last.Dests) != p-1 {
 							t.Fatalf("%v p=%d root=%d: bad release step %+v", k, p, root, last)
 						}
-					case Broadcast:
+					case Broadcast, Multicast, CombiningBarrier:
 						if len(s.Steps) != 1 || s.Phases != 1 || len(s.Steps[0].Dests) != p-1 {
-							t.Fatalf("broadcast p=%d: %+v", p, s)
+							t.Fatalf("%v p=%d: %+v", k, p, s)
 						}
 					case Scatter:
 						for node := 0; node < p; node++ {

@@ -1,25 +1,19 @@
 package core
 
 import (
-	"fmt"
-
 	"mdworm/internal/flit"
 )
 
-// RunCombiningBarrier executes one full-system in-switch combining barrier
+// startCombiningBarrier launches one full-system in-switch combining barrier
 // (the switch enhancement of the paper's companion work) entered by every
-// node at the current cycle, and returns the cycle count until the last
-// node receives the release. Every host injects one single-flit token; the
-// switches on the designated spanning tree combine the tokens and the root
-// broadcasts release tokens back down, so no NIC gather tree is involved.
-// Both switch architectures implement the combining logic. The network
-// must be otherwise idle (traffic generation off); budget bounds the
-// simulation. The NIC-level barriers run as collective.Barrier schedules
-// (Config.Collective).
-func (s *Simulator) RunCombiningBarrier(budget int64) (int64, error) {
-	if s.genOn {
-		return 0, fmt.Errorf("core: RunCombiningBarrier requires an idle network")
-	}
+// node at the current cycle, and returns its op, which completes when the
+// last node receives the release. Every host injects one single-flit token;
+// the switches on the designated spanning tree combine the tokens and the
+// root broadcasts release tokens back down, so no NIC gather tree is
+// involved. Both switch architectures implement the combining logic. It is
+// the one step of a collective.CombiningBarrier rep, which normalize admits
+// only on an otherwise idle network.
+func (s *Simulator) startCombiningBarrier() *flit.Op {
 	n := s.net.N
 	start := s.sim.Now
 	// One op delivered at every host by the release broadcast.
@@ -38,12 +32,5 @@ func (s *Simulator) RunCombiningBarrier(budget int64) (int64, error) {
 		}
 		s.nics[proc].Submit(m)
 	}
-	done, err := s.sim.RunUntil(op.Done, budget)
-	if err != nil {
-		return 0, err
-	}
-	if !done {
-		return 0, fmt.Errorf("core: combining barrier incomplete after %d cycles", budget)
-	}
-	return op.LastArrival - start, nil
+	return op
 }

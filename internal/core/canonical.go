@@ -14,7 +14,7 @@ func (c Config) Canonicalize() (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	if err := c.normalize(net); err != nil {
+	if _, err := c.normalize(net); err != nil {
 		return Config{}, err
 	}
 	return c, nil

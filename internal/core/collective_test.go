@@ -223,3 +223,65 @@ func TestCollectiveUnderFaults(t *testing.T) {
 		t.Fatalf("degraded reps leaked latency samples: %+v", c)
 	}
 }
+
+// TestMulticastKindMatchesRunOp: the Multicast kind's reps are the
+// back-to-back single ops RunOp would run on an idle fabric from the same
+// draws, each begun on the cycle after the previous one completed: the
+// same latencies in order, message count and cycle count.
+func TestMulticastKindMatchesRunOp(t *testing.T) {
+	const reps = 5
+	cfg := DefaultConfig()
+	cfg.Scheme = collective.SoftwareBinomial
+	cfg.Traffic.OpRate = 0
+	ops, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := multicastDraws(cfg.Seed)
+	var lats []float64
+	var pool []int
+	msgs := 0
+	for range reps {
+		src := draw.Intn(cfg.N())
+		dests := draw.Sample(cfg.N(), cfg.Traffic.Degree, src, &pool)
+		lat, op, err := ops.RunOp(src, dests, true, cfg.Traffic.McastPayloadFlits, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lats = append(lats, float64(lat))
+		msgs += op.MessagesSent
+	}
+
+	cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+	cfg.Collective = collective.Spec{Kind: collective.Multicast,
+		PayloadFlits: cfg.Traffic.McastPayloadFlits, Reps: reps}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sim.col.Coll.LastArrival, lats) {
+		t.Fatalf("rep latencies %v, RunOp latencies %v", sim.col.Coll.LastArrival, lats)
+	}
+	if got, want := res.Collective.MessagesPerRep, float64(msgs)/reps; got != want {
+		t.Fatalf("messages per rep %g, want %g", got, want)
+	}
+	if sim.Now() != ops.Now() {
+		t.Fatalf("run ended at cycle %d, RunOp sequence at %d", sim.Now(), ops.Now())
+	}
+}
+
+// TestMulticastKindRejectsDegree: a Multicast rep needs between one and
+// participants-1 destinations.
+func TestMulticastKindRejectsDegree(t *testing.T) {
+	for _, d := range []int{0, 16} {
+		cfg := collectiveConfig(collective.Multicast, collective.HardwareBitString)
+		cfg.Traffic.Degree = d
+		if _, err := New(cfg); err == nil {
+			t.Errorf("degree %d accepted on 16 participants", d)
+		}
+	}
+}

@@ -25,12 +25,20 @@ const (
 // always reports quiesced — the drain's completion condition is the driver's
 // finished() — and sleeps on its own timetable: the next entry time while
 // steps are ready, nothing while it only waits on deliveries (op completion
-// re-arms it via ScheduleWakeAt).
+// re-arms it via ScheduleWakeAt). Two kinds replace the schedule's one step:
+// Multicast redraws its source and destinations every rep, and
+// CombiningBarrier launches every node's switch token instead of a planned
+// op.
 type collectiveDriver struct {
 	s     *Simulator
 	spec  collective.Spec
 	sched collective.Schedule
 	skew  traffic.Skew
+	// draw is the Multicast kind's source and destination stream (nil for
+	// other kinds); its position is a function of the reps begun, so a
+	// restore replays it instead of serializing it. pool is its scratch.
+	draw *engine.RNG
+	pool []int
 
 	// dependents inverts the schedule's Deps edges; handoff is the software
 	// delay between a dependency's last delivery and the dependent launch.
@@ -80,6 +88,9 @@ func newCollectiveDriver(s *Simulator, spec collective.Spec, sched collective.Sc
 		for _, dep := range st.Deps {
 			d.dependents[dep] = append(d.dependents[dep], st.ID)
 		}
+	}
+	if spec.Kind == collective.Multicast {
+		d.draw = multicastDraws(s.cfg.Seed)
 	}
 	col := &s.col.Coll
 	col.Active = true
@@ -140,9 +151,23 @@ func (d *collectiveDriver) NextWake(now int64) (int64, bool) {
 	return wake, true
 }
 
+// multicastDraws returns the Multicast kind's source and destination stream.
+func multicastDraws(seed uint64) *engine.RNG { return engine.NewRNG(seed ^ 0x5eed5eed) }
+
+// redraw draws the Multicast kind's source and destinations for the rep
+// about to begin.
+func (d *collectiveDriver) redraw() {
+	st := &d.sched.Steps[0]
+	st.Src = d.draw.Intn(d.spec.Participants)
+	st.Dests = d.draw.Sample(d.spec.Participants, d.s.cfg.Traffic.Degree, st.Src, &d.pool)
+}
+
 // beginRep resets per-rep state; entry steps (no dependencies) become ready
 // at the rep start plus their source's deterministic entry skew.
 func (d *collectiveDriver) beginRep(now int64) {
+	if d.draw != nil {
+		d.redraw()
+	}
 	d.inRep = true
 	d.repStart = now
 	d.degraded = false
@@ -189,7 +214,7 @@ func (d *collectiveDriver) launchReady(now int64) {
 // against the topology at build time, so planning cannot fail on a healthy
 // model; a failure here is a model invariant violation.
 func (d *collectiveDriver) launch(i int) {
-	op, err := d.s.startCollectiveStep(d.sched.Steps[i])
+	op, err := d.s.startCollectiveStep(d.spec.Kind, d.sched.Steps[i])
 	if err != nil {
 		panic(fmt.Sprintf("core: collective step %d unlaunchable: %v", i, err))
 	}
@@ -210,6 +235,7 @@ func (d *collectiveDriver) onOpDone(idx int, op *flit.Op, now int64) {
 	d.ops[idx] = nil
 	delete(d.opStep, op.ID)
 	d.doneSteps++
+	d.s.col.Coll.MessagesSent += int64(op.MessagesSent)
 	if op.Dropped > 0 {
 		d.degraded = true
 	}
@@ -362,6 +388,12 @@ func (d *collectiveDriver) DecodeState(dec *ckpt.Dec, g *ckpt.Graph) {
 	if d.inRep && d.rep >= d.spec.Reps {
 		dec.Fail("collective in rep %d but only %d reps configured", d.rep, d.spec.Reps)
 		return
+	}
+	if d.draw != nil { // replay the draws of every rep begun
+		d.draw = multicastDraws(d.s.cfg.Seed)
+		for r := 0; r < d.rep || r == d.rep && d.inRep; r++ {
+			d.redraw()
+		}
 	}
 	d.doneSteps = 0
 	for p := range d.phaseLeft {

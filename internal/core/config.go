@@ -93,12 +93,13 @@ type Config struct {
 	// FlitBits is the flit payload width used to size headers.
 	FlitBits int
 
-	// Traffic describes the stochastic workload (ignored by single-shot
-	// experiments that call InjectOp directly).
+	// Traffic describes the stochastic workload. Its Degree also sets the
+	// destination count of each rep of a Multicast collective.
 	Traffic traffic.Spec
 
 	// Collective describes a phase-structured collective workload (barrier,
-	// broadcast, all-reduce, scatter/gather) driven alongside — or, with
+	// broadcast, all-reduce, scatter/gather, single multicasts, the
+	// in-switch combining barrier) driven alongside — or, with
 	// Traffic.OpRate zero, instead of — the stochastic load. The zero value
 	// disables it. Multicast steps are realized through Scheme, so the same
 	// spec runs in hardware-multidestination or software-tree mode.
@@ -210,20 +211,22 @@ func (c *Config) maxPacketFlits(net *topology.Network) int {
 }
 
 // normalize raises buffer parameters to fit the workload on the built
-// fabric and validates the result.
-func (c *Config) normalize(net *topology.Network) error {
+// fabric and validates the result. It returns the collective workload's
+// schedule (the zero Schedule when none is configured), a pure function of
+// the normalized configuration.
+func (c *Config) normalize(net *topology.Network) (sched collective.Schedule, err error) {
 	if c.LinkLatency < 1 {
-		return fmt.Errorf("core: LinkLatency must be >= 1")
+		return sched, fmt.Errorf("core: LinkLatency must be >= 1")
 	}
 	if c.FlitBits < 1 || c.FlitBits > 64 {
-		return fmt.Errorf("core: FlitBits must be in [1,64]")
+		return sched, fmt.Errorf("core: FlitBits must be in [1,64]")
 	}
 	if c.Scheme == collective.HardwareMultiport && !net.Kary {
-		return fmt.Errorf("core: the multiport encoding requires a regular k-ary tree")
+		return sched, fmt.Errorf("core: the multiport encoding requires a regular k-ary tree")
 	}
 	for _, sw := range net.Switches {
 		if sw.NumPorts() > switches.MaxPorts {
-			return fmt.Errorf("core: switch %d has %d ports; the switch models support at most %d",
+			return sched, fmt.Errorf("core: switch %d has %d ports; the switch models support at most %d",
 				sw.ID, sw.NumPorts(), switches.MaxPorts)
 		}
 	}
@@ -231,12 +234,21 @@ func (c *Config) normalize(net *topology.Network) error {
 	maxPacket := c.maxPacketFlits(net)
 
 	if c.Collective.Enabled() {
-		if err := c.Collective.Normalize(net.N); err != nil {
-			return err
+		if c.Collective.Kind == collective.CombiningBarrier {
+			if c.Traffic.OpRate > 0 {
+				return sched, fmt.Errorf("core: the combining barrier requires an idle network (Traffic.OpRate 0)")
+			}
+			c.Collective.Participants = net.N
 		}
-		sched, err := collective.BuildSchedule(c.Collective, net.N, c.Scheme.Hardware())
-		if err != nil {
-			return err
+		if err := c.Collective.Normalize(net.N); err != nil {
+			return sched, err
+		}
+		if p := c.Collective.Participants; c.Collective.Kind == collective.Multicast &&
+			(c.Traffic.Degree < 1 || c.Traffic.Degree > p-1) {
+			return sched, fmt.Errorf("core: multicast degree %d out of range [1,%d]", c.Traffic.Degree, p-1)
+		}
+		if sched, err = collective.BuildSchedule(c.Collective, net.N, c.Scheme.Hardware()); err != nil {
+			return sched, err
 		}
 		// Software scatter/gather steps carry whole subtrees of payload;
 		// the packet bound must cover the largest of them.
@@ -264,22 +276,22 @@ func (c *Config) normalize(net *topology.Network) error {
 	switch c.Arch {
 	case CentralBuffer:
 		if err := c.CB.Validate(maxHeader); err != nil {
-			return err
+			return sched, err
 		}
 	case InputBuffer:
 		if err := c.IB.Validate(maxHeader); err != nil {
-			return err
+			return sched, err
 		}
 	default:
-		return fmt.Errorf("core: unknown switch architecture %d", c.Arch)
+		return sched, fmt.Errorf("core: unknown switch architecture %d", c.Arch)
 	}
 	if err := c.NIC.Validate(); err != nil {
-		return err
+		return sched, err
 	}
 	if err := c.Traffic.Validate(net.N); err != nil {
-		return err
+		return sched, err
 	}
-	return c.normalizeFaults(net, needChunks)
+	return sched, c.normalizeFaults(net, needChunks)
 }
 
 // normalizeFaults validates the fault plan against the built fabric and

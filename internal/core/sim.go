@@ -95,7 +95,8 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.normalize(net); err != nil {
+	sched, err := cfg.normalize(net)
+	if err != nil {
 		return nil, err
 	}
 	s := &Simulator{
@@ -117,7 +118,7 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.gen = g
 	}
-	s.build()
+	s.build(sched)
 	return s, nil
 }
 
@@ -129,8 +130,9 @@ func (s *Simulator) switchCredits() int {
 	return s.cfg.IB.BufFlits
 }
 
-// build instantiates links, switches, and NICs.
-func (s *Simulator) build() {
+// build instantiates links, switches, and NICs, and the driver of the
+// collective schedule sched when the configuration enables one.
+func (s *Simulator) build(sched collective.Schedule) {
 	cfg := &s.cfg
 	rootRNG := engine.NewRNG(cfg.Seed ^ 0xabcdef)
 	s.fac = &factory{cfg: cfg, net: s.net, ids: &s.ids, pool: &s.worms}
@@ -194,12 +196,8 @@ func (s *Simulator) build() {
 	// its own timetable (rep starts, post-dependency launch times) and is
 	// re-armed by op completions. The schedule is a pure function of the
 	// (normalized) configuration, so it is rebuilt — never serialized — on
-	// restore. normalize validated the build already.
+	// restore.
 	if cfg.Collective.Enabled() {
-		sched, err := collective.BuildSchedule(cfg.Collective, s.net.N, cfg.Scheme.Hardware())
-		if err != nil {
-			panic(fmt.Sprintf("core: collective schedule invalid after normalize: %v", err))
-		}
 		s.cdrv = newCollectiveDriver(s, cfg.Collective, sched)
 		s.sim.AddComponent(s.cdrv)
 		s.sim.DeclareEventDriven(s.cdrv)
@@ -454,11 +452,15 @@ func (s *Simulator) startOp(pool *flit.WormArena, src int, dests []int, multicas
 	return op, err
 }
 
-// startCollectiveStep injects one collective schedule step as a pool-made
-// op at the current cycle. Unlike StartOp it attributes nothing to the
-// windowed class collectors: collective steps are measured per rep by the
-// driver.
-func (s *Simulator) startCollectiveStep(st collective.Step) (*flit.Op, error) {
+// startCollectiveStep injects one step of a collective of the given kind as
+// an op at the current cycle: a pool-made op planned from the step, or the
+// combining barrier's switch tokens. Unlike StartOp it attributes nothing
+// to the windowed class collectors: collective steps are measured per rep
+// by the driver.
+func (s *Simulator) startCollectiveStep(kind collective.Kind, st collective.Step) (*flit.Op, error) {
+	if kind == collective.CombiningBarrier {
+		return s.startCombiningBarrier(), nil
+	}
 	return s.inject(&s.worms, st.Src, st.Dests, st.Multicast, st.Payload)
 }
 
@@ -603,17 +605,13 @@ func (s *Simulator) RunCheckpointed(every int64, sink func(data []byte, cycle in
 	// exact same snapshot cadence as per-cycle stepping.
 	drained := false
 	if s.phase == phaseDrain {
-		pred := func() bool {
-			return s.outstanding == 0 && s.sim.Quiesced() &&
-				(s.cdrv == nil || s.cdrv.finished())
-		}
 		if s.cfg.DrainCycles <= 0 {
 			// Delegate to RunUntil for the identical budget-rejection error.
-			_, rerr := s.sim.RunUntil(pred, s.cfg.DrainCycles)
+			_, rerr := s.sim.RunUntil(s.Quiesced, s.cfg.DrainCycles)
 			return stats.Results{}, rerr
 		}
 		for s.sim.Now < s.drainEnd {
-			if pred() {
+			if s.Quiesced() {
 				drained = true
 				break
 			}
@@ -631,14 +629,13 @@ func (s *Simulator) RunCheckpointed(every int64, sink func(data []byte, cycle in
 			}
 		}
 		if !drained {
-			drained = pred()
+			drained = s.Quiesced()
 		}
 		s.phase = phaseDone
 	} else {
 		// Finalizing from a checkpoint taken at phaseDone (possible only
 		// through direct API use) re-evaluates the predicate.
-		drained = s.outstanding == 0 && s.sim.Quiesced() &&
-			(s.cdrv == nil || s.cdrv.finished())
+		drained = s.Quiesced()
 	}
 
 	maxQ := 0
@@ -661,8 +658,9 @@ func (s *Simulator) RunCheckpointed(every int64, sink func(data []byte, cycle in
 func (s *Simulator) Invariants() *engine.Invariants { return s.sim.Invariants() }
 
 // RunOp injects a single operation on an otherwise idle network and runs
-// until it completes, returning its last-arrival latency. It is the
-// primitive behind the unloaded-latency experiments.
+// until it completes, returning its last-arrival latency. The experiments
+// measure back-to-back single multicasts as reps of the Multicast
+// collective kind instead.
 func (s *Simulator) RunOp(src int, dests []int, multicast bool, payload int, budget int64) (int64, *flit.Op, error) {
 	op, err := s.StartOp(src, dests, multicast, payload)
 	if err != nil {

@@ -68,7 +68,7 @@ func TestA8TracksAnalyticBarrier(t *testing.T) {
 			if p.X != float64(m.N) {
 				t.Fatalf("%s point %d: N=%g, model N=%d", s.Name, i, p.X, m.N)
 			}
-			sim := p.Results.Multicast.LastArrival.Mean
+			sim := MetricMcastLatency.Get(p.Results)
 			want := m.Barrier(mod.con.Scheme.Hardware())
 			rel := math.Abs(want-sim) / sim
 			t.Logf("%s N=%d: model %.1f vs simulation %.0f (%+.1f%%)", s.Name, m.N, want, sim, (want-sim)/sim*100)

@@ -141,11 +141,9 @@ func A5Encoding(o Options) (*Table, error) {
 	for _, c := range []Contender{CBHW, CBMP} {
 		s := Series{Name: c.Name}
 		for _, d := range degrees {
-			cfg := baseConfig(o)
-			cfg.Traffic.OpRate = 0
-			cfg.Traffic.Degree = d
+			cfg := singleOpConfig(o, d)
 			c.Apply(&cfg)
-			s.Points = append(s.Points, singleOpPoint(cfg, d, o, fmt.Sprintf("a5/%s/d%d", c.Name, d)))
+			s.Points = append(s.Points, runPoint(cfg, float64(d), o, fmt.Sprintf("a5/%s/d%d", c.Name, d)))
 		}
 		series = append(series, s)
 	}
@@ -167,14 +165,11 @@ func A6SoftwareOverhead(o Options) (*Table, error) {
 	for _, c := range []Contender{CBHW, SWUMIN} {
 		s := Series{Name: c.Name}
 		for _, ov := range overheads {
-			cfg := baseConfig(o)
-			cfg.Traffic.OpRate = 0
-			cfg.Traffic.Degree = 8
+			cfg := singleOpConfig(o, 8)
 			cfg.NIC.SendOverhead = ov
 			cfg.NIC.RecvOverhead = ov
 			c.Apply(&cfg)
-			s.Points = append(s.Points, singleOpPoint(cfg, 8, o, fmt.Sprintf("a6/%s/ov%d", c.Name, ov)))
-			s.Points[len(s.Points)-1].X = float64(ov)
+			s.Points = append(s.Points, runPoint(cfg, float64(ov), o, fmt.Sprintf("a6/%s/ov%d", c.Name, ov)))
 		}
 		series = append(series, s)
 	}
@@ -310,22 +305,23 @@ func A7HotSpot(o Options) (*Table, error) {
 // authors' companion work across system sizes on an idle network: an
 // all-software binomial barrier, a binomial gather with a hardware
 // multidestination release, and the full in-switch combining barrier
-// (tokens combined by the switches themselves). The first two are one rep
-// of the collective.Barrier schedule, the same executor C1 repeats, under
-// SW-UMIN and CB-HW; the third is the switches' own token protocol.
+// (tokens combined by the switches themselves). Each point is one rep of a
+// collective: the collective.Barrier schedule, the same executor C1
+// repeats, under SW-UMIN and CB-HW, or the switches' own token protocol
+// (collective.CombiningBarrier).
 func A8Barrier(o Options) (*Table, error) {
 	stages := []int{2, 3, 4}
 	if o.Quick {
 		stages = []int{2, 3}
 	}
 	schemes := []struct {
-		name      string
-		con       Contender
-		combining bool
+		name string
+		con  Contender
+		kind collective.Kind
 	}{
-		{"sw-barrier", SWUMIN, false},
-		{"hw-release-barrier", CBHW, false},
-		{"hw-combining-barrier", CBHW, true},
+		{"sw-barrier", SWUMIN, collective.Barrier},
+		{"hw-release-barrier", CBHW, collective.Barrier},
+		{"hw-combining-barrier", CBHW, collective.CombiningBarrier},
 	}
 	var series []Series
 	for _, bs := range schemes {
@@ -334,31 +330,10 @@ func A8Barrier(o Options) (*Table, error) {
 			cfg := baseConfig(o)
 			cfg.Stages = st
 			cfg.Traffic.OpRate = 0
+			cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+			cfg.Collective = collective.Spec{Kind: bs.kind, Reps: 1}
 			bs.con.Apply(&cfg)
-			if !bs.combining {
-				cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
-				cfg.Collective = collective.Spec{Kind: collective.Barrier, Reps: 1}
-			}
-			tag := fmt.Sprintf("a8/%s/N%d", bs.name, cfg.N())
-			s.Points = append(s.Points, Point{X: float64(cfg.N()), Tag: tag, deferred: func() Point {
-				sim, err := core.New(cfg)
-				if err != nil {
-					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Err: err})
-					return Point{Err: err}
-				}
-				lat, err := runBarrier(sim, bs.combining)
-				if err != nil {
-					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Cycles: sim.Now(), Err: err})
-					return Point{Err: err, cycles: sim.Now()}
-				}
-				var col pointCollector
-				col.add(float64(lat), float64(cfg.N()-1))
-				res := col.results(cfg.N())
-				o.progress("  %s lat=%d", tag, lat)
-				o.point(PointEvent{Tag: tag, X: float64(cfg.N()),
-					McastLatency: float64(lat), Cycles: sim.Now()})
-				return Point{Results: res, cycles: sim.Now()}
-			}})
+			s.Points = append(s.Points, runPoint(cfg, float64(cfg.N()), o, fmt.Sprintf("a8/%s/N%d", bs.name, cfg.N())))
 		}
 		series = append(series, s)
 	}
@@ -371,24 +346,6 @@ func A8Barrier(o Options) (*Table, error) {
 		Notes:   "mcast_lat column holds the barrier completion latency in cycles",
 		strict:  true,
 	}, nil
-}
-
-// runBarrier measures one barrier on an idle simulator: the in-switch
-// combining protocol, or the configured one-rep collective barrier driven
-// through Run.
-func runBarrier(sim *core.Simulator, combining bool) (int64, error) {
-	if combining {
-		return sim.RunCombiningBarrier(10_000_000)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return 0, err
-	}
-	if c := res.Collective; c.LastArrival.Count != 1 {
-		return 0, fmt.Errorf("barrier incomplete after %d cycles (%d of %d reps clean)",
-			sim.Now(), c.LastArrival.Count, c.Started)
-	}
-	return int64(res.Collective.LastArrival.Mean), nil
 }
 
 // A9Irregular runs the contenders on a NOW-style irregular tree of switches

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"mdworm/internal/analytic"
+	"mdworm/internal/collective"
 	"mdworm/internal/core"
+	"mdworm/internal/stats"
 )
 
 // Load sweeps, in delivered payload flits per node per cycle (a multicast
@@ -217,12 +219,9 @@ func E8SingleMulticast(o Options) (*Table, error) {
 	for _, c := range []Contender{CBHW, IBHW, SWUMIN, SWSEP} {
 		s := Series{Name: c.Name}
 		for _, d := range degrees {
-			cfg := baseConfig(o)
-			cfg.Traffic.OpRate = 0 // idle network
-			cfg.Traffic.Degree = d
+			cfg := singleOpConfig(o, d)
 			c.Apply(&cfg)
-			p := singleOpPoint(cfg, d, o, fmt.Sprintf("e8/%s/d%d", c.Name, d))
-			s.Points = append(s.Points, p)
+			s.Points = append(s.Points, runPoint(cfg, float64(d), o, fmt.Sprintf("e8/%s/d%d", c.Name, d)))
 		}
 		series = append(series, s)
 	}
@@ -238,9 +237,8 @@ func E8SingleMulticast(o Options) (*Table, error) {
 	} {
 		s := Series{Name: ms.name}
 		for _, d := range degrees {
-			var col pointCollector
-			col.add(ms.f(64, d), 0)
-			s.Points = append(s.Points, Point{X: float64(d), Results: col.results(64)})
+			s.Points = append(s.Points, Point{X: float64(d), Results: stats.Results{Multicast: stats.ClassResults{
+				OpsCompleted: 1, LastArrival: stats.Summarize([]float64{ms.f(64, d)})}}})
 		}
 		series = append(series, s)
 	}
@@ -254,34 +252,15 @@ func E8SingleMulticast(o Options) (*Table, error) {
 	}, nil
 }
 
-// singleOpPoint schedules one idle-network multicast measurement (averaged
-// over a few deterministic draws) as a deferred point.
-func singleOpPoint(cfg core.Config, degree int, o Options, tag string) Point {
-	return Point{X: float64(degree), Tag: tag, deferred: func() Point {
-		const draws = 16
-		sim, err := core.New(cfg)
-		if err != nil {
-			o.point(PointEvent{Tag: tag, X: float64(degree), Err: err})
-			return Point{X: float64(degree), Err: err}
-		}
-		// Reuse the simulator across draws; the network is idle between ops.
-		rng := newDrawRNG(cfg.Seed)
-		var pool []int
-		var col pointCollector
-		for i := 0; i < draws; i++ {
-			src := rng.Intn(sim.Net().N)
-			dests := rng.Sample(sim.Net().N, degree, src, &pool)
-			lat, op, err := sim.RunOp(src, dests, true, cfg.Traffic.McastPayloadFlits, 2_000_000)
-			if err != nil {
-				o.point(PointEvent{Tag: tag, X: float64(degree), Cycles: sim.Now(), Err: err})
-				return Point{X: float64(degree), Err: err, cycles: sim.Now()}
-			}
-			col.add(float64(lat), float64(op.MessagesSent))
-		}
-		res := col.results(sim.Net().N)
-		o.progress("  %-28s d=%-6d lat=%.1f msgs=%.1f", tag, degree, res.Multicast.LastArrival.Mean, res.Multicast.MessagesPerOp)
-		o.point(PointEvent{Tag: tag, X: float64(degree),
-			McastLatency: res.Multicast.LastArrival.Mean, Cycles: sim.Now()})
-		return Point{X: float64(degree), Results: res, cycles: sim.Now()}
-	}}
+// singleOpConfig returns the idle-network single-multicast measurement of
+// e8, a5 and a6: 16 back-to-back multicasts of the given degree, each from
+// a source to destinations drawn from the seed, one collective rep apiece.
+func singleOpConfig(o Options, degree int) core.Config {
+	cfg := baseConfig(o)
+	cfg.Traffic.OpRate = 0
+	cfg.Traffic.Degree = degree
+	cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+	cfg.Collective = collective.Spec{Kind: collective.Multicast,
+		PayloadFlits: cfg.Traffic.McastPayloadFlits, Reps: 16}
+	return cfg
 }

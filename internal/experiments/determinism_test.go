@@ -29,6 +29,16 @@ func checkpointConfig(id string) core.Config {
 	cfg.Seed = 7
 	cfg.Traffic.OpRate = 0.002
 	cfg.Traffic.Degree = 6
+	// idle runs reps of one collective kind back to back from cycle 0 on
+	// an otherwise idle fabric, as the single-multicast and barrier points
+	// do. Each such id's snapshot lands inside a rep, and the multicast ids'
+	// degrees make their draws differ in latency or worm count, so a restore
+	// that replays the draw stream wrongly diverges.
+	idle := func(kind collective.Kind, reps int) {
+		cfg.Traffic.OpRate = 0
+		cfg.WarmupCycles, cfg.MeasureCycles = 0, 0
+		cfg.Collective = collective.Spec{Kind: kind, PayloadFlits: cfg.Traffic.McastPayloadFlits, Reps: reps}
+	}
 
 	switch id {
 	case "e1": // multiple multicast latency: the baseline
@@ -45,8 +55,9 @@ func checkpointConfig(id string) core.Config {
 	case "e7": // system size: the full 64-node baseline
 		cfg.Stages = 3
 		cfg.Traffic.Degree = 8
-	case "e8": // single multicast: near-idle fabric
-		cfg.Traffic.OpRate = 0.0005
+	case "e8": // single multicasts, drawn afresh every rep
+		idle(collective.Multicast, 16)
+		cfg.Traffic.Degree = 4
 	case "a1": // central-buffer size ablation
 		cfg.CB.Chunks = 96
 	case "a2": // chunk size ablation
@@ -55,15 +66,21 @@ func checkpointConfig(id string) core.Config {
 		cfg.ReplicateOnUpPath = false
 	case "a4": // up-port policy
 		cfg.UpPolicy = routing.UpRandom
-	case "a5": // multiport encoding
+	case "a5": // single multicasts under the multiport encoding
+		idle(collective.Multicast, 16)
 		cfg.Scheme = collective.HardwareMultiport
-	case "a6": // software multicast with host overhead
+		cfg.Traffic.Degree = 12
+	case "a6": // single software multicasts with host overhead
+		idle(collective.Multicast, 16)
 		cfg.Scheme = collective.SoftwareBinomial
+		cfg.NIC.SendOverhead, cfg.NIC.RecvOverhead = 64, 64
+		cfg.Traffic.Degree = 4
 	case "a7": // hot-spot traffic
 		cfg.Traffic.MulticastFraction = 0.2
 		cfg.Traffic.HotSpotFraction = 0.3
 		cfg.Traffic.HotSpotNode = 3
-	case "a8": // barrier contender mix: input-buffer arch carries it here
+	case "a8": // in-switch combining barrier on the input-buffer switch
+		idle(collective.CombiningBarrier, 4)
 		cfg.Arch = core.InputBuffer
 	case "a9": // irregular topology
 		cfg.Topology = core.IrregularTree

@@ -26,7 +26,9 @@ type PointEvent struct {
 	Tag string
 	// X is the point's sweep coordinate.
 	X float64
-	// McastLatency and UniLatency are mean last-arrival latencies.
+	// McastLatency and UniLatency are mean last-arrival latencies;
+	// McastLatency is the table's MetricMcastLatency, a collective's per-rep
+	// latency when the run drove one.
 	McastLatency float64
 	UniLatency   float64
 	// Throughput is delivered payload flits per node per cycle, both
@@ -78,15 +80,12 @@ type Options struct {
 	// is unchanged; the per-sweep aggregate lands in SweepStats.Occupancy.
 	Observer *obs.SweepObserver
 	// Resolver, when non-nil, replaces local simulator execution for every
-	// standard measurement point: it receives the point's fully prepared
+	// measurement point: it receives the point's fully prepared
 	// configuration and tag and returns the measured results plus the
 	// simulated-cycle cost. The cluster coordinator uses it to run points on
 	// peer daemons — determinism makes a remote measurement byte-identical
-	// to a local one, so rendered tables are unchanged. Points that measure
-	// through a custom harness rather than a standard Run (e8's idle-network
-	// single ops, a8's barriers) ignore the Resolver and execute locally;
-	// Observer is likewise ignored on resolver-backed points (occupancy is
-	// not carried over the wire).
+	// to a local one, so rendered tables are unchanged. Observer is ignored
+	// on resolver-backed points (occupancy is not carried over the wire).
 	Resolver func(cfg core.Config, tag string) (stats.Results, int64, error)
 
 	// progressMu serializes Progress writes and OnPoint calls across pool
@@ -167,9 +166,15 @@ type Metric struct {
 	Get  func(r stats.Results) float64
 }
 
-// Standard metrics.
+// Standard metrics. A run that drove a collective (the idle-network
+// single-multicast draws and barriers among them) reports its per-rep
+// latency and message count as its multicast latency and messages per op;
+// any other run reports its multicast class's.
 var (
 	MetricMcastLatency = Metric{"mcast_lat", func(r stats.Results) float64 {
+		if r.Collective != nil {
+			return r.Collective.LastArrival.Mean
+		}
 		return r.Multicast.LastArrival.Mean
 	}}
 	MetricMcastP95 = Metric{"mcast_p95", func(r stats.Results) float64 {
@@ -182,6 +187,9 @@ var (
 		return r.Multicast.DeliveredPayloadPerNodeCycle + r.Unicast.DeliveredPayloadPerNodeCycle
 	}}
 	MetricMsgsPerOp = Metric{"msgs_per_op", func(r stats.Results) float64 {
+		if r.Collective != nil {
+			return r.Collective.MessagesPerRep
+		}
 		return r.Multicast.MessagesPerOp
 	}}
 )
@@ -261,7 +269,8 @@ func baseConfig(o Options) core.Config {
 func runPoint(cfg core.Config, x float64, o Options, tag string) Point {
 	return Point{X: x, Tag: tag, deferred: func() Point {
 		if o.Resolver != nil {
-			return resolveRemote(cfg, x, o, tag)
+			res, cycles, err := o.Resolver(cfg, tag)
+			return finishPoint(cfg, o, tag, x, res, cycles, err)
 		}
 		sim, err := core.New(cfg)
 		if err != nil {
@@ -278,42 +287,30 @@ func runPoint(cfg core.Config, x float64, o Options, tag string) Point {
 			sim.Observe(occ)
 		}
 		res, err := sim.Run()
-		if err != nil {
-			err = fmt.Errorf("%s: %w", tag, err)
-			o.point(PointEvent{Tag: tag, X: x, Cycles: sim.Now(), Err: err})
-			return Point{X: x, Tag: tag, Err: err, cycles: sim.Now()}
-		}
-		if occ != nil {
+		if err == nil && occ != nil {
 			o.Observer.Record(tag, occ.Summary())
 		}
-		finishPoint(o, tag, x, res, sim.Now())
-		return Point{X: x, Tag: tag, Results: res, cycles: sim.Now()}
+		return finishPoint(cfg, o, tag, x, res, sim.Now(), err)
 	}}
 }
 
-// resolveRemote materializes one standard point through Options.Resolver:
-// identical event and result handling to the local path, with the
-// measurement itself performed elsewhere.
-func resolveRemote(cfg core.Config, x float64, o Options, tag string) Point {
-	res, cycles, err := o.Resolver(cfg, tag)
+// finishPoint turns one measurement of cfg into its point, emitting the
+// progress line and structured event; shared by the local and
+// resolver-backed paths so their observable output is identical. A
+// collective that completed fewer reps than configured fails the point.
+func finishPoint(cfg core.Config, o Options, tag string, x float64, res stats.Results, cycles int64, err error) Point {
+	if c := res.Collective; err == nil && c != nil && c.Completed < int64(cfg.Collective.Reps) {
+		err = fmt.Errorf("collective incomplete after %d cycles (%d of %d reps)", cycles, c.Completed, cfg.Collective.Reps)
+	}
 	if err != nil {
 		err = fmt.Errorf("%s: %w", tag, err)
 		o.point(PointEvent{Tag: tag, X: x, Cycles: cycles, Err: err})
 		return Point{X: x, Tag: tag, Err: err, cycles: cycles}
 	}
-	finishPoint(o, tag, x, res, cycles)
-	return Point{X: x, Tag: tag, Results: res, cycles: cycles}
-}
-
-// finishPoint emits the progress line and structured event of a successful
-// standard measurement; shared by the local and resolver-backed paths so
-// their observable output is identical.
-func finishPoint(o Options, tag string, x float64, res stats.Results, cycles int64) {
-	thr := res.Multicast.DeliveredPayloadPerNodeCycle + res.Unicast.DeliveredPayloadPerNodeCycle
+	mcast := MetricMcastLatency.Get(res)
+	thr := MetricThroughput.Get(res)
 	line := fmt.Sprintf("  %-28s x=%-8.4g mcast=%.1f uni=%.1f thr=%.3f sat=%v",
-		tag, x,
-		res.Multicast.LastArrival.Mean, res.Unicast.LastArrival.Mean,
-		thr, res.Saturated)
+		tag, x, mcast, res.Unicast.LastArrival.Mean, thr, res.Saturated)
 	// Fault-free runs keep the historical line format byte-for-byte.
 	if res.DestsDropped > 0 || res.InvariantViolations > 0 {
 		line += fmt.Sprintf(" dropped=%d violations=%d", res.DestsDropped, res.InvariantViolations)
@@ -322,7 +319,7 @@ func finishPoint(o Options, tag string, x float64, res stats.Results, cycles int
 	o.point(PointEvent{
 		Tag:          tag,
 		X:            x,
-		McastLatency: res.Multicast.LastArrival.Mean,
+		McastLatency: mcast,
 		UniLatency:   res.Unicast.LastArrival.Mean,
 		Throughput:   thr,
 		Saturated:    res.Saturated,
@@ -331,6 +328,7 @@ func finishPoint(o Options, tag string, x float64, res stats.Results, cycles int
 		Violations:   res.InvariantViolations,
 		Cycles:       cycles,
 	})
+	return Point{X: x, Tag: tag, Results: res, cycles: cycles}
 }
 
 // Registry maps experiment ids to their runners.

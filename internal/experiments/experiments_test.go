@@ -49,7 +49,7 @@ func TestE8QuickShape(t *testing.T) {
 		if p.Err != nil {
 			t.Fatal(p.Err)
 		}
-		return p.Results.Multicast.LastArrival.Mean
+		return MetricMcastLatency.Get(p.Results)
 	}
 	if !(last("cb-hw") < last("sw-umin") && last("sw-umin") < last("sw-sep")) {
 		t.Fatalf("d=63 ordering violated: cb=%f umin=%f sep=%f",
@@ -89,21 +89,11 @@ func TestA5QuickShape(t *testing.T) {
 	// bit-string always uses one.
 	bsLast := bs.Points[len(bs.Points)-1]
 	mpLast := mp.Points[len(mp.Points)-1]
-	if bsLast.Results.Multicast.MessagesPerOp != 1 {
-		t.Fatalf("bit-string msgs/op = %g", bsLast.Results.Multicast.MessagesPerOp)
+	if got := MetricMsgsPerOp.Get(bsLast.Results); got != 1 {
+		t.Fatalf("bit-string msgs/op = %g", got)
 	}
-	if mpLast.Results.Multicast.MessagesPerOp <= 1 {
-		t.Fatalf("multiport msgs/op = %g for d=63", mpLast.Results.Multicast.MessagesPerOp)
-	}
-}
-
-func TestPointCollector(t *testing.T) {
-	var c pointCollector
-	c.add(100, 1)
-	c.add(200, 3)
-	r := c.results(64)
-	if r.Multicast.OpsCompleted != 2 || r.Multicast.LastArrival.Mean != 150 || r.Multicast.MessagesPerOp != 2 {
-		t.Fatalf("%+v", r.Multicast)
+	if got := MetricMsgsPerOp.Get(mpLast.Results); got <= 1 {
+		t.Fatalf("multiport msgs/op = %g for d=63", got)
 	}
 }
 

@@ -34,9 +34,14 @@ func (t *Table) WriteCSV(w io.Writer) error {
 				for _, m := range t.Metrics {
 					row = append(row, formatFloat(m.Get(p.Results)))
 				}
+				// A collective's completed reps count as its ops.
+				opsCompleted := p.Results.Multicast.OpsCompleted + p.Results.Unicast.OpsCompleted
+				if c := p.Results.Collective; c != nil {
+					opsCompleted += c.Completed
+				}
 				row = append(row,
 					strconv.FormatBool(p.Results.Saturated),
-					strconv.FormatInt(p.Results.Multicast.OpsCompleted+p.Results.Unicast.OpsCompleted, 10),
+					strconv.FormatInt(opsCompleted, 10),
 					"")
 			}
 			if err := cw.Write(row); err != nil {

@@ -11,21 +11,28 @@ import (
 
 // TestResolverByteIdentical: a sweep resolved through Options.Resolver (the
 // cluster-coordinator path) renders tables byte-identical to the plain local
-// sweep, the Resolver sees every planned tag exactly once, and PlannedTags
-// lists the deterministic table order.
+// sweep, the Resolver sees every planned tag exactly once — the idle-network
+// single multicasts and barriers included — and PlannedTags lists the
+// deterministic table order.
 func TestResolverByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick sweep")
 	}
-	const id = "e1"
+	ids := []string{"e1", "e8", "a5", "a6", "a8"}
 	base := Options{Quick: true, Seed: 1, Workers: 4}
+	format := func(tables []*Table) string {
+		var b strings.Builder
+		for _, tab := range tables {
+			tab.Format(&b)
+		}
+		return b.String()
+	}
 
-	local, _, err := RunIDs([]string{id}, base)
+	local, _, err := RunIDs(ids, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want strings.Builder
-	local[0].Format(&want)
+	want := format(local)
 
 	var (
 		mu    sync.Mutex
@@ -48,7 +55,7 @@ func TestResolverByteIdentical(t *testing.T) {
 		}
 		return res, sim.Now(), nil
 	}
-	tables, err := Plan([]string{id}, o)
+	tables, err := Plan(ids, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +68,12 @@ func TestResolverByteIdentical(t *testing.T) {
 			t.Fatalf("duplicate planned tag %q", tags[i])
 		}
 	}
-	if _, err := Finish([]string{id}, tables, o); err != nil {
+	if _, err := Finish(ids, tables, o); err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	tables[0].Format(&got)
-	if got.String() != want.String() {
-		t.Errorf("resolver-backed table differs from local table:\n--- resolver ---\n%s\n--- local ---\n%s",
-			got.String(), want.String())
+	if got := format(tables); got != want {
+		t.Errorf("resolver-backed tables differ from local tables:\n--- resolver ---\n%s\n--- local ---\n%s",
+			got, want)
 	}
 	if len(calls) != len(tags) {
 		t.Errorf("resolver saw %d distinct tags, planned %d", len(calls), len(tags))
@@ -77,28 +82,5 @@ func TestResolverByteIdentical(t *testing.T) {
 		if calls[tag] != 1 {
 			t.Errorf("tag %s resolved %d times, want 1", tag, calls[tag])
 		}
-	}
-}
-
-// TestResolverSkipsCustomHarness: a8's barrier points measure through a
-// custom harness, not a standard Run — the Resolver must never see them and
-// the sweep must still succeed locally.
-func TestResolverSkipsCustomHarness(t *testing.T) {
-	o := Options{Quick: true, Seed: 1, Workers: 2}
-	o.Resolver = func(cfg core.Config, tag string) (stats.Results, int64, error) {
-		t.Errorf("resolver called for custom-harness point %s", tag)
-		return stats.Results{}, 0, nil
-	}
-	tables, err := Plan([]string{"a8"}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Custom-harness points still appear in the planned order (the stream
-	// merge needs their tags) — they just never route through the Resolver.
-	if n := len(PlannedTags(tables)); n == 0 {
-		t.Fatal("a8 planned no points")
-	}
-	if _, err := Finish([]string{"a8"}, tables, o); err != nil {
-		t.Fatal(err)
 	}
 }

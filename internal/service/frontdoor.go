@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"sync"
 
 	"mdworm/internal/core"
+	"mdworm/internal/engine"
 	"mdworm/internal/experiments"
 )
 
@@ -40,6 +42,27 @@ func WriteError(w http.ResponseWriter, status int, e APIError) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]APIError{"error": e})
+}
+
+// RunError maps a failed run to its status and structured error, for the
+// daemon's jobs and the coordinator's runs alike: deadlocks and invariant
+// violations are properties of the requested configuration (422, with their
+// own codes, so fault studies can script against them); a recovered job
+// panic is a server fault (500); anything else is 422 run_failed. jobID
+// names the daemon job, if any. Either way the job slot is free again —
+// failures never hang or poison the pool.
+func RunError(jobID string, err error) (int, APIError) {
+	var de *engine.DeadlockError
+	var ie *engine.InvariantError
+	switch {
+	case errors.As(err, &de):
+		return http.StatusUnprocessableEntity, APIError{Code: "deadlock", Message: err.Error(), Job: jobID}
+	case errors.As(err, &ie):
+		return http.StatusUnprocessableEntity, APIError{Code: "invariant_violation", Message: err.Error(), Job: jobID}
+	case errors.Is(err, ErrJobPanic):
+		return http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error(), Job: jobID}
+	}
+	return http.StatusUnprocessableEntity, APIError{Code: "run_failed", Message: fmt.Sprint(err), Job: jobID}
 }
 
 // Authenticate resolves a request's tenant against ts. With no tenants (ts

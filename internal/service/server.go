@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mdworm/internal/core"
-	"mdworm/internal/engine"
 	"mdworm/internal/experiments"
 	"mdworm/internal/obs"
 	"mdworm/internal/stats"
@@ -359,7 +358,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if v, _ := s.pool.Get(job.ID); v.State == JobFailed {
-		writeRunErr(w, job.ID, s.pool.Err(job.ID))
+		status, e := RunError(job.ID, s.pool.Err(job.ID))
+		WriteError(w, status, e)
 		return
 	}
 	w.Header().Set("X-Mdwd-Job", job.ID)
@@ -529,26 +529,6 @@ func (s *Server) recover() error {
 		}
 	}
 	return nil
-}
-
-// writeRunErr maps a failed run job to a structured error: deadlocks and
-// invariant violations are properties of the requested configuration (422,
-// with their own codes, so fault studies can script against them); a
-// recovered panic is a server fault (500). Either way the job slot is free
-// again — failures never hang or poison the pool.
-func writeRunErr(w http.ResponseWriter, jobID string, err error) {
-	var de *engine.DeadlockError
-	var ie *engine.InvariantError
-	switch {
-	case errors.As(err, &de):
-		WriteError(w, http.StatusUnprocessableEntity, APIError{Code: "deadlock", Message: err.Error(), Job: jobID})
-	case errors.As(err, &ie):
-		WriteError(w, http.StatusUnprocessableEntity, APIError{Code: "invariant_violation", Message: err.Error(), Job: jobID})
-	case errors.Is(err, ErrJobPanic):
-		WriteError(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error(), Job: jobID})
-	default:
-		WriteError(w, http.StatusUnprocessableEntity, APIError{Code: "run_failed", Message: fmt.Sprint(err), Job: jobID})
-	}
 }
 
 // ExperimentRequest is the body of POST /v1/experiment.

@@ -17,6 +17,7 @@ func (c *Collector) EncodeState(e *ckpt.Enc) {
 	e.I64(c.DestsDropped)
 	e.I64(c.OpsDropped)
 	encodeCollective(e, &c.Coll)
+	e.I64(c.Coll.MessagesSent)
 }
 
 // DecodeState restores the collector.
@@ -31,9 +32,13 @@ func (c *Collector) DecodeState(d *ckpt.Dec) {
 	c.OpsDropped = d.I64()
 	// Blobs that predate the collective collector end here; they restore
 	// with an inactive collector, matching their configurations (which
-	// cannot describe a collective workload).
+	// cannot describe a collective workload). Blobs that predate its message
+	// count end after the collective block and restore a count of 0.
 	if d.Err() == nil && d.Remaining() > 0 {
 		decodeCollective(d, &c.Coll)
+	}
+	if d.Err() == nil && d.Remaining() > 0 {
+		c.Coll.MessagesSent = d.I64()
 	}
 }
 

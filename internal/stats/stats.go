@@ -137,6 +137,8 @@ type CollectiveCollector struct {
 	Started   int64 // reps begun
 	Completed int64 // reps whose every step finished
 	Degraded  int64 // completed reps that lost destinations to faults
+	// MessagesSent sums the injected messages of completed steps.
+	MessagesSent int64
 
 	// LastArrival is the rep's end-to-end latency: rep start to the last
 	// delivery of the final phase. Skew is the arrival spread across the
@@ -213,6 +215,9 @@ type CollectiveResults struct {
 	Started   int64
 	Completed int64
 	Degraded  int64
+	// MessagesPerRep is the average number of injected messages a
+	// completed rep required.
+	MessagesPerRep float64
 	// LastArrival is the end-to-end per-rep latency; Skew the arrival
 	// spread across the final phase's destinations.
 	LastArrival Summary
@@ -293,6 +298,9 @@ func (c *Collector) Finalize(n int, maxSendQueue int) Results {
 		}
 		for p, samples := range c.Coll.Phases {
 			cr.Phases[p] = Summarize(samples)
+		}
+		if c.Coll.Completed > 0 {
+			cr.MessagesPerRep = float64(c.Coll.MessagesSent) / float64(c.Coll.Completed)
 		}
 		r.Collective = cr
 	}

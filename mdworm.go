@@ -128,6 +128,14 @@ const (
 	CollectiveScatter = collective.Scatter
 	// CollectiveGather collects personalized payloads at the root.
 	CollectiveGather = collective.Gather
+	// CollectiveMulticast sends one multicast per rep from a source to
+	// Traffic.Degree destinations, both drawn among the participants from
+	// the seed (the idle-network single-multicast measurement).
+	CollectiveMulticast = collective.Multicast
+	// CollectiveCombiningBarrier is the in-switch combining barrier: the
+	// switches combine every node's token and broadcast the release. It
+	// spans every node and needs an otherwise idle network.
+	CollectiveCombiningBarrier = collective.CombiningBarrier
 )
 
 // CollectiveKinds lists every collective kind name in declaration order.
@@ -135,7 +143,7 @@ func CollectiveKinds() []string { return collective.Kinds() }
 
 // ParseCollectiveKind parses a kind name as printed by CollectiveKind.String
 // ("barrier", "broadcast", "all-reduce", "all-reduce-gather", "scatter",
-// "gather").
+// "gather", "multicast", "combining-barrier").
 func ParseCollectiveKind(s string) (CollectiveKind, error) { return collective.ParseKind(s) }
 
 // Up-port selection policies.

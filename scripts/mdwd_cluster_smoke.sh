@@ -40,7 +40,7 @@ wait_healthy() { # addr logfile
 "$workdir/mdwd" -addr 127.0.0.1:0 -workers 4 >"$workdir/single.log" 2>&1 &
 single=$(wait_addr "$!" "$workdir/single.log")
 wait_healthy "$single" "$workdir/single.log"
-"$workdir/mdwbench" -daemon "http://$single" -exp e1,e2 -quick >"$workdir/ref.out"
+"$workdir/mdwbench" -daemon "http://$single" -exp e1,e2,e8,a8 -quick >"$workdir/ref.out"
 
 # The fleet: two workers with checkpointing (so the coordinator can mirror
 # mid-run state off them), one coordinator journaling to its own cache dir.
@@ -61,7 +61,7 @@ wait_healthy "$coord" "$workdir/coord.log"
 
 # The same sweep through the coordinator, with one worker kill -9'd while
 # points are still resolving.
-"$workdir/mdwbench" -daemon "http://$coord" -exp e1,e2 -quick >"$workdir/cluster.out" &
+"$workdir/mdwbench" -daemon "http://$coord" -exp e1,e2,e8,a8 -quick >"$workdir/cluster.out" &
 benchpid=$!
 sleep 0.4
 kill -9 "$w2pid"
