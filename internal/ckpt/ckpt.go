@@ -95,17 +95,14 @@ func NewDec(b []byte) *Dec { return &Dec{b: b} }
 // Err returns the first decode failure, or nil.
 func (d *Dec) Err() error { return d.err }
 
-// fail records the first error.
-func (d *Dec) fail(format string, args ...any) {
+// Fail records the first decode failure: a framing error or a semantic
+// validation failure (an out-of-range value, a count mismatch against the
+// live structure), both with the same sticky ErrCorrupt semantics.
+func (d *Dec) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = corruptf(format, args...)
 	}
 }
-
-// Fail lets decoding callers record a semantic validation failure (an
-// out-of-range value, a count mismatch against the live structure) with the
-// same sticky ErrCorrupt semantics as a framing failure.
-func (d *Dec) Fail(format string, args ...any) { d.fail(format, args...) }
 
 // Remaining returns the number of unread bytes.
 func (d *Dec) Remaining() int { return len(d.b) - d.off }
@@ -116,7 +113,7 @@ func (d *Dec) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || d.Remaining() < n {
-		d.fail("need %d bytes at offset %d, have %d", n, d.off, d.Remaining())
+		d.Fail("need %d bytes at offset %d, have %d", n, d.off, d.Remaining())
 		return nil
 	}
 	s := d.b[d.off : d.off+n]
@@ -141,7 +138,7 @@ func (d *Dec) Bool() bool {
 	case 1:
 		return true
 	default:
-		d.fail("invalid bool byte %d", v)
+		d.Fail("invalid bool byte %d", v)
 		return false
 	}
 }
@@ -177,7 +174,7 @@ func (d *Dec) Count(elemMinBytes int) int {
 		elemMinBytes = 1
 	}
 	if n < 0 || n > int64(d.Remaining()/elemMinBytes) {
-		d.fail("count %d exceeds remaining %d bytes (min %d/elem)", n, d.Remaining(), elemMinBytes)
+		d.Fail("count %d exceeds remaining %d bytes (min %d/elem)", n, d.Remaining(), elemMinBytes)
 		return 0
 	}
 	return int(n)

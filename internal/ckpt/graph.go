@@ -11,9 +11,11 @@ import (
 // messages, and worms. Components hold pointers into this graph (a worm may
 // sit in several link slots and buffer tables at once), so checkpointing
 // encodes each object once, keyed by its engine-assigned unique ID, and
-// every component state refers to objects by ID. Decoding rebuilds the
-// graph first, then components resolve their references through it —
-// restoring the exact aliasing structure of the live simulation.
+// every component state refers to objects by ID. Writing a reference adds
+// its object, so Encode runs after every reference has been written.
+// Decoding rebuilds the graph first, then components resolve their
+// references through it — restoring the exact aliasing structure of the
+// live simulation.
 type Graph struct {
 	ops   map[uint64]*flit.Op
 	msgs  map[uint64]*flit.Message
@@ -29,63 +31,35 @@ func NewGraph() *Graph {
 	}
 }
 
-// AddOp records an op (nil is ignored).
-func (g *Graph) AddOp(o *flit.Op) {
-	if o == nil {
-		return
-	}
-	g.ops[o.ID] = o
-}
-
-// AddMessage records a message and, transitively, its op.
-func (g *Graph) AddMessage(m *flit.Message) {
-	if m == nil {
-		return
-	}
-	g.msgs[m.ID] = m
-	g.AddOp(m.Op)
-}
-
-// AddWorm records a worm and, transitively, its message and op.
-func (g *Graph) AddWorm(w *flit.Worm) {
-	if w == nil {
-		return
-	}
-	g.worms[w.ID] = w
-	g.AddMessage(w.Msg)
-}
-
-// OpID returns the reference encoding of an op: its ID, or 0 for nil.
-// Encoding a pointer that was never added is a checkpoint-writer bug.
+// OpID returns the reference encoding of an op, its ID or 0 for nil, and
+// adds the op to the graph.
 func (g *Graph) OpID(o *flit.Op) uint64 {
 	if o == nil {
 		return 0
 	}
-	if _, ok := g.ops[o.ID]; !ok {
-		panic("ckpt: op referenced but not collected")
-	}
+	g.ops[o.ID] = o
 	return o.ID
 }
 
-// MsgID returns the reference encoding of a message (0 for nil).
+// MsgID returns the reference encoding of a message (0 for nil) and adds the
+// message and its op to the graph.
 func (g *Graph) MsgID(m *flit.Message) uint64 {
 	if m == nil {
 		return 0
 	}
-	if _, ok := g.msgs[m.ID]; !ok {
-		panic("ckpt: message referenced but not collected")
-	}
+	g.msgs[m.ID] = m
+	g.OpID(m.Op)
 	return m.ID
 }
 
-// WormID returns the reference encoding of a worm (0 for nil).
+// WormID returns the reference encoding of a worm (0 for nil) and adds the
+// worm, its message and its op to the graph.
 func (g *Graph) WormID(w *flit.Worm) uint64 {
 	if w == nil {
 		return 0
 	}
-	if _, ok := g.worms[w.ID]; !ok {
-		panic("ckpt: worm referenced but not collected")
-	}
+	g.worms[w.ID] = w
+	g.MsgID(w.Msg)
 	return w.ID
 }
 
@@ -93,8 +67,9 @@ func (g *Graph) WormID(w *flit.Worm) uint64 {
 // above any simulated system size, far below an allocation hazard.
 const maxDests = 1 << 24
 
-// Encode writes the graph as three ID-sorted tables. Engine IDs start at 1,
-// so 0 is free to mean nil.
+// Encode writes the graph as three ID-sorted tables, so the bytes depend on
+// which objects were referenced, not on the order. Engine IDs start at 1, so
+// 0 is free to mean nil.
 func (g *Graph) Encode(e *Enc) {
 	opIDs := sortedKeys(g.ops)
 	e.Int(len(opIDs))
@@ -177,11 +152,11 @@ func DecodeGraph(d *Dec) *Graph {
 			break
 		}
 		if id == 0 || numDests < 0 || numDests > maxDests || remaining < 0 || remaining > numDests {
-			d.fail("op %d: invalid fields (dests %d, remaining %d)", id, numDests, remaining)
+			d.Fail("op %d: invalid fields (dests %d, remaining %d)", id, numDests, remaining)
 			break
 		}
 		if _, dup := g.ops[id]; dup {
-			d.fail("duplicate op %d", id)
+			d.Fail("duplicate op %d", id)
 			break
 		}
 		g.ops[id] = flit.RestoreOp(id, class, src, numDests, created, phases, remaining, first, last, sum, sent, dropped)
@@ -192,7 +167,7 @@ func DecodeGraph(d *Dec) *Graph {
 		m := &flit.Message{ID: d.U64(), Src: d.Int()}
 		nd := d.Count(8)
 		if nd > maxDests {
-			d.fail("message %d: %d destinations", m.ID, nd)
+			d.Fail("message %d: %d destinations", m.ID, nd)
 			break
 		}
 		if nd > 0 {
@@ -206,15 +181,15 @@ func DecodeGraph(d *Dec) *Graph {
 		m.HeaderFlits = d.Int()
 		m.Created = d.I64()
 		m.InjectedAt = d.I64()
-		m.Op = g.opAt(d, d.U64())
+		m.Op = g.OpAt(d, d.U64())
 		if d.Bool() {
 			ns := d.Count(8)
 			if ns > maxDests {
-				d.fail("message %d: %d forward subtree entries", m.ID, ns)
+				d.Fail("message %d: %d forward subtree entries", m.ID, ns)
 				break
 			}
 			if len(m.Dests) == 0 {
-				d.fail("message %d: forwarding step with no recipient", m.ID)
+				d.Fail("message %d: forwarding step with no recipient", m.ID)
 				break
 			}
 			// A step names its recipient's rank range in the op's group;
@@ -231,16 +206,16 @@ func DecodeGraph(d *Dec) *Graph {
 			break
 		}
 		if m.ID == 0 {
-			d.fail("message with zero ID")
+			d.Fail("message with zero ID")
 			break
 		}
 		if _, dup := g.msgs[m.ID]; dup {
-			d.fail("duplicate message %d", m.ID)
+			d.Fail("duplicate message %d", m.ID)
 			break
 		}
 		// Flit counts are construction invariants the switches rely on.
 		if m.HeaderFlits < 1 || m.PayloadFlits < 0 || m.Len() > maxDests {
-			d.fail("message %d: invalid flit counts %d+%d", m.ID, m.HeaderFlits, m.PayloadFlits)
+			d.Fail("message %d: invalid flit counts %d+%d", m.ID, m.HeaderFlits, m.PayloadFlits)
 			break
 		}
 		g.msgs[m.ID] = m
@@ -249,7 +224,7 @@ func DecodeGraph(d *Dec) *Graph {
 	nWorms := d.Count(8)
 	for i := 0; i < nWorms && d.Err() == nil; i++ {
 		w := &flit.Worm{ID: d.U64()}
-		w.Msg = g.msgAt(d, d.U64())
+		w.Msg = g.MsgAt(d, d.U64())
 		w.Dests = decodeBitset(d)
 		w.GoingUp = d.Bool()
 		w.Hops = d.Int()
@@ -257,11 +232,11 @@ func DecodeGraph(d *Dec) *Graph {
 			break
 		}
 		if w.ID == 0 || w.Msg == nil {
-			d.fail("worm %d: zero ID or nil message", w.ID)
+			d.Fail("worm %d: zero ID or nil message", w.ID)
 			break
 		}
 		if _, dup := g.worms[w.ID]; dup {
-			d.fail("duplicate worm %d", w.ID)
+			d.Fail("duplicate worm %d", w.ID)
 			break
 		}
 		g.worms[w.ID] = w
@@ -269,26 +244,28 @@ func DecodeGraph(d *Dec) *Graph {
 	return g
 }
 
-// opAt resolves a decoded op reference (0 → nil).
-func (g *Graph) opAt(d *Dec, id uint64) *flit.Op {
+// OpAt resolves a decoded op reference (0 → nil); unknown IDs set the
+// decoder error.
+func (g *Graph) OpAt(d *Dec, id uint64) *flit.Op {
 	if id == 0 || d.Err() != nil {
 		return nil
 	}
 	o, ok := g.ops[id]
 	if !ok {
-		d.fail("dangling op reference %d", id)
+		d.Fail("dangling op reference %d", id)
 	}
 	return o
 }
 
-// msgAt resolves a decoded message reference (0 → nil).
-func (g *Graph) msgAt(d *Dec, id uint64) *flit.Message {
+// MsgAt resolves a decoded message reference (0 → nil); unknown IDs set the
+// decoder error.
+func (g *Graph) MsgAt(d *Dec, id uint64) *flit.Message {
 	if id == 0 || d.Err() != nil {
 		return nil
 	}
 	m, ok := g.msgs[id]
 	if !ok {
-		d.fail("dangling message reference %d", id)
+		d.Fail("dangling message reference %d", id)
 	}
 	return m
 }
@@ -301,20 +278,10 @@ func (g *Graph) WormAt(d *Dec, id uint64) *flit.Worm {
 	}
 	w, ok := g.worms[id]
 	if !ok {
-		d.fail("dangling worm reference %d", id)
+		d.Fail("dangling worm reference %d", id)
 	}
 	return w
 }
-
-// MsgAt resolves a decoded message reference through the public API.
-func (g *Graph) MsgAt(d *Dec, id uint64) *flit.Message { return g.msgAt(d, id) }
-
-// OpAt resolves a decoded op reference through the public API.
-func (g *Graph) OpAt(d *Dec, id uint64) *flit.Op { return g.opAt(d, id) }
-
-// Ops returns all collected ops (decode side), for callers that must
-// iterate the full set (e.g. the NIC op table).
-func (g *Graph) Ops() map[uint64]*flit.Op { return g.ops }
 
 // encodeBitset writes a destination set as capacity plus payload words.
 func encodeBitset(e *Enc, s bitset.Set) {
@@ -334,7 +301,7 @@ func decodeBitset(d *Dec) bitset.Set {
 		return bitset.Set{}
 	}
 	if capN < 0 || capN > maxDests || nw != (capN+63)/64 {
-		d.fail("bitset: cap %d with %d words", capN, nw)
+		d.Fail("bitset: cap %d with %d words", capN, nw)
 		return bitset.Set{}
 	}
 	words := make([]uint64, nw)

@@ -317,15 +317,6 @@ func (d *collectiveDriver) finishRep(now int64) {
 	}
 }
 
-// CollectState adds the driver's in-flight ops to the checkpoint object
-// graph (their messages and worms are owned — and collected — by the NICs
-// and switches holding them).
-func (d *collectiveDriver) CollectState(g *ckpt.Graph) {
-	for _, op := range d.ops {
-		g.AddOp(op)
-	}
-}
-
 // EncodeState writes the driver's mutable state. The schedule itself is not
 // serialized: it is a pure function of the configuration, rebuilt on restore.
 func (d *collectiveDriver) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {

@@ -56,20 +56,6 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("core: marshal config: %w", err)
 	}
 
-	// Collect the shared object graph before encoding any component: every
-	// op, message, and worm is written once and referenced by ID.
-	g := ckpt.NewGraph()
-	s.sim.CollectState(g)
-	for _, sw := range s.sws {
-		sw.CollectState(g)
-	}
-	for _, n := range s.nics {
-		n.CollectState(g)
-	}
-	if s.cdrv != nil {
-		s.cdrv.CollectState(g)
-	}
-
 	w := ckpt.NewWriter()
 	w.Section(secConfig).Bytes64(js)
 
@@ -81,7 +67,12 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	run.I64(s.drainEnd)
 
 	w.Section(secIDs).U64(s.ids.State())
-	g.Encode(w.Section(secObjects))
+	// Every op, message and worm is written once, in the objects section,
+	// and components refer to it by ID. Writing a reference adds its object
+	// to g, so the section is reserved here and filled after the last
+	// component.
+	g := ckpt.NewGraph()
+	objects := w.Section(secObjects)
 	s.sim.EncodeState(w.Section(secEngine), g)
 	s.sim.EncodeEvents(w.Section(secEvents))
 	s.sim.Invariants().EncodeState(w.Section(secInvariants))
@@ -116,6 +107,7 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 		s.cdrv.EncodeState(w.Section(secCollective), g)
 	}
 
+	g.Encode(objects)
 	return w.Finish(), nil
 }
 

@@ -257,10 +257,9 @@ func TestLinkArrivalBit(t *testing.T) {
 	}
 
 	g := ckpt.NewGraph()
-	l.CollectState(g)
 	var genc, enc ckpt.Enc
-	g.Encode(&genc)
 	l.EncodeState(&enc, g)
+	g.Encode(&genc)
 	var twinWord uint64
 	twin := NewLink("t", 2, 4)
 	twin.BindArrival(&twinWord, 5)
@@ -273,10 +272,9 @@ func TestLinkArrivalBit(t *testing.T) {
 // encodeLink returns the link's checkpoint bytes, its worm graph included.
 func encodeLink(l *Link) []byte {
 	g := ckpt.NewGraph()
-	l.CollectState(g)
 	var genc, enc ckpt.Enc
-	g.Encode(&genc)
 	l.EncodeState(&enc, g)
+	g.Encode(&genc)
 	return append(genc.Bytes(), enc.Bytes()...)
 }
 

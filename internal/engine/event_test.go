@@ -273,21 +273,19 @@ func TestSnapshotRoundTripWithPendingEvents(t *testing.T) {
 
 	encode := func(s *Simulation) []byte {
 		g := ckpt.NewGraph()
-		s.CollectState(g)
 		var enc, genc ckpt.Enc
-		g.Encode(&genc)
 		s.EncodeState(&enc, g)
 		s.EncodeEvents(&enc)
+		g.Encode(&genc)
 		return append(genc.Bytes(), enc.Bytes()...)
 	}
 
 	g := ckpt.NewGraph()
-	sim.CollectState(g)
-	var genc ckpt.Enc
-	g.Encode(&genc)
 	var enc ckpt.Enc
 	sim.EncodeState(&enc, g)
 	sim.EncodeEvents(&enc)
+	var genc ckpt.Enc
+	g.Encode(&genc)
 
 	twin, _, tc := build()
 	gd := ckpt.NewDec(genc.Bytes())

@@ -135,7 +135,7 @@ func TestLinkRestoresUnfoldedCreditQueue(t *testing.T) {
 	const latency, credits, now = 3, 576, int64(101)
 	w := testWorm(64)
 	g := ckpt.NewGraph()
-	g.AddWorm(w)
+	g.WormID(w)
 	var genc ckpt.Enc
 	g.Encode(&genc)
 

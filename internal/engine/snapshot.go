@@ -25,15 +25,6 @@ func (g *IDGen) State() uint64 { return g.n }
 // SetState restores the identifier counter.
 func (g *IDGen) SetState(n uint64) { g.n = n }
 
-// CollectState adds every worm referenced by the link's queues to the
-// checkpoint object graph.
-func (l *Link) CollectState(g *ckpt.Graph) {
-	for i := 0; i < l.inflight.len(); i++ {
-		g.AddWorm(l.inflight.at(i).v.W)
-	}
-	g.AddWorm(l.expectWorm)
-}
-
 // EncodeState writes the link's mutable state.
 func (l *Link) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.Int(l.inflight.len())
@@ -114,13 +105,6 @@ func (l *Link) syncDue() {
 	}
 	if l.creditsQ.len() > 0 {
 		l.creditAt = l.creditsQ.front().at
-	}
-}
-
-// CollectState adds worms held by every link to the graph.
-func (s *Simulation) CollectState(g *ckpt.Graph) {
-	for _, l := range s.links {
-		l.CollectState(g)
 	}
 }
 

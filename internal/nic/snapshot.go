@@ -8,19 +8,6 @@ import (
 // in-progress worms, software-forwarding timers, the stall window, and its
 // counters; wiring and configuration are rebuilt from the run config.
 
-// CollectState adds every message and worm the NIC holds to the checkpoint
-// graph.
-func (nc *NIC) CollectState(g *ckpt.Graph) {
-	for _, m := range nc.sendQ {
-		g.AddMessage(m)
-	}
-	g.AddWorm(nc.curWorm)
-	g.AddWorm(nc.recvWorm)
-	for _, t := range nc.tasks {
-		g.AddMessage(t.msg)
-	}
-}
-
 // EncodeState writes the NIC's mutable state.
 func (nc *NIC) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.Int(len(nc.sendQ))

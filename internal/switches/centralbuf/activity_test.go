@@ -97,10 +97,9 @@ func checkActivity(t *testing.T, s *Switch, now int64) {
 func restoreTwin(t *testing.T, s *Switch, cfg Config, tr *switchtest.Traffic) *Switch {
 	t.Helper()
 	g := ckpt.NewGraph()
-	s.CollectState(g)
 	var graph, state ckpt.Enc
-	g.Encode(&graph)
 	s.EncodeState(&state, g)
+	g.Encode(&graph)
 	ports := make([]switches.PortIO, len(s.Ports))
 	for p := range ports {
 		ports[p] = switches.PortIO{In: engine.NewLink("in", 1, cfg.InFIFOFlits), Out: engine.NewLink("out", 1, 8)}

@@ -91,31 +91,6 @@ func branchAt(d *ckpt.Dec, pbs []*packetBuf) *cbBranch {
 	return &pbs[pi].branches[bi]
 }
 
-// CollectState adds every worm the switch holds to the checkpoint graph.
-func (s *Switch) CollectState(g *ckpt.Graph) {
-	for i := range s.in {
-		in := &s.in[i]
-		in.q.CollectState(g)
-		g.AddWorm(in.worm)
-		for _, p := range in.plans {
-			g.AddWorm(p.Child)
-		}
-	}
-	for o := range s.out {
-		for _, r := range s.out[o].fifo.All() {
-			g.AddWorm(r.W)
-		}
-	}
-	pbs, _ := s.livePackets()
-	for _, pb := range pbs {
-		g.AddWorm(pb.worm)
-		for k := range pb.branches {
-			g.AddWorm(pb.branches[k].child)
-		}
-	}
-	s.Tokens.CollectState(g)
-}
-
 // EncodeState writes the switch's mutable state.
 func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	pbs, idx := s.livePackets()

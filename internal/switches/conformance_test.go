@@ -160,7 +160,6 @@ func trafficRun(t *testing.T, m model) [][sha256.Size]byte {
 // encode returns the switch's checkpoint state.
 func encode(sw switches.Switch) []byte {
 	g := ckpt.NewGraph()
-	sw.CollectState(g)
 	var e ckpt.Enc
 	sw.EncodeState(&e, g)
 	return e.Bytes()
@@ -171,10 +170,9 @@ func encode(sw switches.Switch) []byte {
 func restore(t *testing.T, m model, sw switches.Switch, tr *switchtest.Traffic) switches.Switch {
 	t.Helper()
 	g := ckpt.NewGraph()
-	sw.CollectState(g)
 	var graph, state ckpt.Enc
-	g.Encode(&graph)
 	sw.EncodeState(&state, g)
+	g.Encode(&graph)
 	ports := make([]switches.PortIO, len(tr.Ports))
 	for p := range ports {
 		ports[p] = switches.PortIO{In: engine.NewLink("in", 1, m.credits), Out: engine.NewLink("out", 1, 8)}

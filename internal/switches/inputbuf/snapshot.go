@@ -9,20 +9,6 @@ import (
 // sets, encoded as (input, branch) pairs), and what the skeleton owns
 // (barrier combining, counters, and the per-switch RNG position).
 
-// CollectState adds every worm the switch holds to the checkpoint graph.
-func (s *Switch) CollectState(g *ckpt.Graph) {
-	for i := range s.in {
-		in := &s.in[i]
-		for k := range in.queue {
-			g.AddWorm(in.queue[k].w)
-		}
-		for _, b := range in.branches {
-			g.AddWorm(b.child)
-		}
-	}
-	s.Tokens.CollectState(g)
-}
-
 // EncodeState writes the switch's mutable state.
 func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.Int(len(s.in))

@@ -5,13 +5,6 @@ import (
 	"mdworm/internal/flit"
 )
 
-// CollectState adds every worm buffered in the FIFO to the checkpoint graph.
-func (f *FIFO) CollectState(g *ckpt.Graph) {
-	for i := f.head; i < len(f.segs); i++ {
-		g.AddWorm(f.segs[i].w)
-	}
-}
-
 // EncodeState writes the FIFO as its (worm, first, count) segments.
 func (f *FIFO) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.Int(len(f.segs) - f.head)
@@ -60,13 +53,6 @@ func (rr *RoundRobin) SetLast(last int) {
 
 // N returns the number of requesters the arbiter serves.
 func (rr *RoundRobin) N() int { return rr.n }
-
-// CollectState adds every pending token to the checkpoint graph.
-func (c *Combiner) CollectState(g *ckpt.Graph) {
-	for _, pt := range c.pending {
-		g.AddWorm(pt.worm)
-	}
-}
 
 // EncodeHead writes the state a switch's checkpoint carries between the
 // model's buffers and its own counters: the combining state, then the

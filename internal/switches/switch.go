@@ -22,9 +22,8 @@ type Switch interface {
 	engine.Component
 	// Occupancy samples the buffered state for the observability probe.
 	Occupancy() Occupancy
-	// CollectState adds every worm the switch holds to the checkpoint
-	// graph; EncodeState and DecodeState write and restore the rest.
-	CollectState(g *ckpt.Graph)
+	// EncodeState writes the switch's state, referring to the worms it
+	// holds through g; DecodeState restores it.
 	EncodeState(e *ckpt.Enc, g *ckpt.Graph)
 	DecodeState(d *ckpt.Dec, g *ckpt.Graph)
 	// Dump renders the internal state for deadlock diagnosis.
