@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -247,7 +246,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// A checkpoint the user asked for that cannot be written is a
 			// hard failure — silent loss of durability defeats the flag.
 			res, err = sim.RunCheckpointed(*ckptEv, func(data []byte, cycle int64) error {
-				if werr := atomicWrite(*ckptFile, data); werr != nil {
+				if werr := service.WriteFileAtomic(*ckptFile, data); werr != nil {
 					return fmt.Errorf("checkpoint at cycle %d: %w", cycle, werr)
 				}
 				return nil
@@ -428,36 +427,6 @@ func restoreSnapshot(path string, flagCfg mdworm.Config) (*mdworm.Simulator, err
 		return nil, fmt.Errorf("snapshot %s was taken under a different configuration; rerun with the original flags plus -resume", path)
 	}
 	return sim, nil
-}
-
-// atomicWrite replaces path via temp file, fsync, and rename, so an
-// interrupted write never leaves a torn snapshot behind.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".mdwsim-ckpt-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
 }
 
 // printSwitchStats aggregates per-switch counters across the fabric.

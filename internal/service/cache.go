@@ -85,19 +85,10 @@ func (c *Cache) Put(key string, val []byte) {
 	}
 	c.insert(key, val)
 	if c.dir != "" && validKey(key) {
-		// Atomic publish so concurrent readers never see a torn file;
-		// persistence is best-effort and never fails a request.
-		tmp, err := os.CreateTemp(c.dir, "put-*")
-		if err != nil {
-			return
-		}
-		name := tmp.Name()
-		if _, err := tmp.Write(val); err == nil && tmp.Close() == nil {
-			os.Rename(name, c.path(key))
-		} else {
-			tmp.Close()
-			os.Remove(name)
-		}
+		// A durable, atomic publish: Get serves a disk file as a hit, so it
+		// must never find a torn one, even after a power loss. Persistence
+		// is best-effort and never fails a request.
+		WriteFileAtomic(c.path(key), val)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 
 	// No stray temp files left behind.
-	matches, _ := filepath.Glob(filepath.Join(dir, "put-*"))
+	matches, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
 	if len(matches) != 0 {
 		t.Fatalf("temp files left: %v", matches)
 	}

@@ -195,17 +195,10 @@ func (j *Journal) track(rec JournalRec) {
 }
 
 // compactLocked rewrites the journal to exactly the records reconstructing
-// the pending jobs, atomically (write temp, fsync, rename, reopen). Caller
-// holds the lock. Best-effort: any failure keeps the current file.
+// the pending jobs, atomically (WriteFileAtomic, then reopen). Caller holds
+// the lock. Best-effort: any failure keeps the current file.
 func (j *Journal) compactLocked() {
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, "journal-compact-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	fail := func() { tmp.Close(); os.Remove(name) }
-	var written int64
+	var buf []byte
 	live := make([]string, 0, len(j.pending))
 	for _, h := range j.order {
 		if _, ok := j.pending[h]; ok {
@@ -221,28 +214,12 @@ func (j *Journal) compactLocked() {
 		for _, rec := range recs {
 			line, err := json.Marshal(rec)
 			if err != nil {
-				fail()
 				return
 			}
-			line = append(line, '\n')
-			n, err := tmp.Write(line)
-			if err != nil {
-				fail()
-				return
-			}
-			written += int64(n)
+			buf = append(append(buf, line...), '\n')
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		fail()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, j.path); err != nil {
-		os.Remove(name)
+	if WriteFileAtomic(j.path, buf) != nil {
 		return
 	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -253,7 +230,7 @@ func (j *Journal) compactLocked() {
 	}
 	j.f.Close()
 	j.f = f
-	j.size = written
+	j.size = int64(len(buf))
 	j.order = live
 }
 
@@ -357,17 +334,7 @@ func RecoverJournal(dir string, maxBytes int64) (*Journal, []PendingJob, error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("service: journal dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "journal-*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: journal reset: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return nil, nil, fmt.Errorf("service: journal reset: %w", err)
-	}
-	if err := os.Rename(name, filepath.Join(dir, journalName)); err != nil {
-		os.Remove(name)
+	if err := WriteFileAtomic(filepath.Join(dir, journalName), nil); err != nil {
 		return nil, nil, fmt.Errorf("service: journal reset: %w", err)
 	}
 	j, err := OpenJournal(dir)

@@ -413,7 +413,7 @@ func (s *Server) executeRun(hash string, canon core.Config, resume []byte) ([]by
 		// over one /metrics histogram.
 		ckptFile := s.checkpointPath(hash)
 		res, err = sim.RunCheckpointed(s.cfg.CheckpointEvery, func(data []byte, cycle int64) error {
-			if werr := atomicWriteFile(ckptFile, data); werr != nil {
+			if werr := WriteFileAtomic(ckptFile, data); werr != nil {
 				return nil // best-effort durability; the run itself continues
 			}
 			s.journal.Append(JournalRec{Kind: recCheckpoint, Hash: hash, JobKind: "run", File: ckptFile, Cycle: cycle})
@@ -440,34 +440,31 @@ func (s *Server) executeRun(hash string, canon core.Config, resume []byte) ([]by
 	return b, st, nil
 }
 
-// atomicWriteFile publishes data at path via temp file, fsync, and rename,
-// so a crash mid-write never leaves a torn blob where a reader (or a
-// restarted daemon) expects a checkpoint.
-func atomicWriteFile(path string, data []byte) error {
+// WriteFileAtomic replaces the file at path with data by writing a temp file
+// in the same directory, fsyncing it and renaming it over path. A reader, or
+// a process restarted after a crash or a power loss, finds either the old
+// file or all of data, never a torn or empty one. On failure the temp file
+// is removed.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
+	if err == nil {
+		err = os.Rename(name, path)
 	}
-	if err := os.Rename(name, path); err != nil {
+	if err != nil {
 		os.Remove(name)
-		return err
 	}
-	return nil
+	return err
 }
 
 // recover replays the cache directory's journal, compacts it, and closes
