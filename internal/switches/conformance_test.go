@@ -62,6 +62,9 @@ func TestConformance(t *testing.T) {
 	for _, m := range models() {
 		t.Run(m.name, func(t *testing.T) {
 			t.Run("traffic", func(t *testing.T) { testTraffic(t, m) })
+			t.Run("unicast-cut-through", func(t *testing.T) { testUnicastCutThrough(t, m) })
+			t.Run("multicast-replication", func(t *testing.T) { testMulticastReplication(t, m) })
+			t.Run("asynchronous-replication", func(t *testing.T) { testAsynchronousReplication(t, m) })
 			t.Run("many-worms-conservation", func(t *testing.T) { testManyWormsConservation(t, m) })
 			t.Run("barrier-combining", func(t *testing.T) { testBarrierCombining(t, m) })
 		})
@@ -188,13 +191,68 @@ func restore(t *testing.T, m model, sw switches.Switch, tr *switchtest.Traffic) 
 	return twin
 }
 
+// shuttle builds the model's switch into switchtest's one-stage fabric.
+func shuttle(m model) (*switchtest.Shuttle, switches.Switch) {
+	h := switchtest.NewShuttle(m.credits)
+	sw := m.build(h.Node, h.Router, h.Ports, &h.IDs, nil, h.Sim)
+	h.Sim.AddComponent(sw)
+	return h, sw
+}
+
+// testUnicastCutThrough: a unicast into an idle switch cuts through, so its
+// tail leaves within a few cycles of its length.
+func testUnicastCutThrough(t *testing.T, m model) {
+	h, sw := shuttle(m)
+	w := h.Inject(0, []int{2}, 16, 0)
+	h.Run(t, sw, 1000)
+	h.ExpectCopy(t, 2, w.Msg)
+	// Latency: inject at 0, link 1, route delay, per-flit pipeline.
+	if tail := h.Sinks[2].TailAt[w.Msg]; tail < int64(w.Len()) || tail > int64(w.Len())+20 {
+		t.Fatalf("cut-through tail at %d, want near %d", tail, w.Len())
+	}
+}
+
+// testMulticastReplication: a multidestination worm delivers one copy to
+// each destination, replicating once per branch beyond the first, and the
+// switch quiesces once the copies are out.
+func testMulticastReplication(t *testing.T, m model) {
+	h, sw := shuttle(m)
+	w := h.Inject(0, []int{1, 2, 3}, 32, 0)
+	h.Run(t, sw, 2000)
+	for _, p := range []int{1, 2, 3} {
+		h.ExpectCopy(t, p, w.Msg)
+	}
+	if st := m.counters(sw); st.Replications != 2 {
+		t.Fatalf("replications = %d, want 2 (3 branches - 1)", st.Replications)
+	}
+	if !sw.Quiesced() {
+		t.Fatal("switch not quiesced after drain")
+	}
+}
+
+// testAsynchronousReplication: one destination refuses to consume for a
+// long time; the other branches must complete long before it.
+func testAsynchronousReplication(t *testing.T, m model) {
+	h, sw := shuttle(m)
+	h.Sinks[3].HoldOff = 500
+	w := h.Inject(0, []int{1, 2, 3}, 32, 0)
+	h.Run(t, sw, 3000)
+	for _, p := range []int{1, 2, 3} {
+		h.ExpectCopy(t, p, w.Msg)
+	}
+	if fast := h.Sinks[1].TailAt[w.Msg]; fast >= 500 {
+		t.Fatalf("unblocked branch finished at %d, held hostage by blocked branch", fast)
+	}
+	if slow := h.Sinks[3].TailAt[w.Msg]; slow < 500 {
+		t.Fatalf("blocked branch finished at %d despite hold-off", slow)
+	}
+}
+
 // testManyWormsConservation floods all inputs of switchtest's one-stage
 // fabric with a mix of unicasts and multicasts and checks flit
 // conservation.
 func testManyWormsConservation(t *testing.T, m model) {
-	h := switchtest.NewShuttle(m.credits)
-	sw := m.build(h.Node, h.Router, h.Ports, &h.IDs, nil, h.Sim)
-	h.Sim.AddComponent(sw)
+	h, sw := shuttle(m)
 	total := 0
 	rng := engine.NewRNG(5)
 	for i := 0; i < 12; i++ {
@@ -233,9 +291,7 @@ func testManyWormsConservation(t *testing.T, m model) {
 // combine into a release broadcast that starts only once the last token is
 // in.
 func testBarrierCombining(t *testing.T, m model) {
-	h := switchtest.NewShuttle(m.credits)
-	sw := m.build(h.Node, h.Router, h.Ports, &h.IDs, nil, h.Sim)
-	h.Sim.AddComponent(sw)
+	h, sw := shuttle(m)
 	op := flit.NewOp(99, flit.ClassBarrier, 0, 4, 0)
 	const last = 3 * 7
 	for p := 0; p < 4; p++ {

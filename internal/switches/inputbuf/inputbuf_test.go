@@ -23,50 +23,6 @@ func testConfig() Config {
 	return cfg
 }
 
-func TestUnicastCutThrough(t *testing.T) {
-	h, sw := newHarness(testConfig())
-	w := h.Inject(0, []int{2}, 16, 0)
-	h.Run(t, sw, 1000)
-	h.ExpectCopy(t, 2, w.Msg)
-	tail := h.Sinks[2].TailAt[w.Msg]
-	if tail > int64(w.Len())+20 {
-		t.Fatalf("cut-through tail at %d, want near %d", tail, w.Len())
-	}
-}
-
-func TestMulticastReplication(t *testing.T) {
-	h, sw := newHarness(testConfig())
-	w := h.Inject(0, []int{1, 2, 3}, 32, 0)
-	h.Run(t, sw, 2000)
-	for _, p := range []int{1, 2, 3} {
-		h.ExpectCopy(t, p, w.Msg)
-	}
-	st := sw.Stats()
-	if st.Replications != 2 {
-		t.Fatalf("replications = %d", st.Replications)
-	}
-	if !sw.Quiesced() {
-		t.Fatal("not quiesced")
-	}
-}
-
-// TestAsynchronousReplication is the defining behavior of this
-// architecture: a blocked branch must not block the others.
-func TestAsynchronousReplication(t *testing.T) {
-	h, sw := newHarness(testConfig())
-	h.Sinks[3].HoldOff = 500
-	w := h.Inject(0, []int{1, 2, 3}, 32, 0)
-	h.Run(t, sw, 3000)
-	fast := h.Sinks[1].TailAt[w.Msg]
-	slow := h.Sinks[3].TailAt[w.Msg]
-	if fast >= 500 {
-		t.Fatalf("unblocked branch finished at %d", fast)
-	}
-	if slow < 500 {
-		t.Fatalf("blocked branch finished at %d despite hold-off", slow)
-	}
-}
-
 // TestHeadOfLineBlocking is the defining weakness: a packet behind a blocked
 // head waits even though its own output is free.
 func TestHeadOfLineBlocking(t *testing.T) {
