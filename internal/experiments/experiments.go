@@ -1,6 +1,14 @@
-// Package experiments defines the paper's evaluation (experiments E1–E8 and
-// the ablations A1–A6 of DESIGN.md) as runnable sweeps over the simulator,
-// and renders the resulting tables in the layout the paper's figures plot.
+// Package experiments defines the evaluation of EXPERIMENTS.md as runnable
+// sweeps over the simulator, and renders the resulting tables in the layout
+// the paper's figures plot. It registers 25 ids, which IDs lists in
+// definition order: the paper's experiments e1–e8 (multiple-multicast
+// latency and throughput, bimodal unicast and multicast latency, degree,
+// message length, system size, single multicast on an idle network); the
+// ablations a1–a11 (central-buffer size, chunk size, replicate-on-up-path,
+// up-port policy, encoding, software overhead, hot spot, barrier, irregular
+// topology, synchronous replication, buffer bandwidth); and the collective
+// experiments c1–c6 (barrier size, broadcast length, all-reduce,
+// scatter/gather, skew, background load).
 package experiments
 
 import (

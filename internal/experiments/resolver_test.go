@@ -9,6 +9,15 @@ import (
 	"mdworm/internal/stats"
 )
 
+// format renders tables as the text report does.
+func format(tables []*Table) string {
+	var b strings.Builder
+	for _, tab := range tables {
+		tab.Format(&b)
+	}
+	return b.String()
+}
+
 // TestResolverByteIdentical: a sweep resolved through Options.Resolver (the
 // cluster-coordinator path) renders tables byte-identical to the plain local
 // sweep, the Resolver sees every planned tag exactly once — the idle-network
@@ -20,13 +29,6 @@ func TestResolverByteIdentical(t *testing.T) {
 	}
 	ids := []string{"e1", "e8", "a5", "a6", "a8"}
 	base := Options{Quick: true, Seed: 1, Workers: 4}
-	format := func(tables []*Table) string {
-		var b strings.Builder
-		for _, tab := range tables {
-			tab.Format(&b)
-		}
-		return b.String()
-	}
 
 	local, _, err := RunIDs(ids, base)
 	if err != nil {
@@ -82,5 +84,37 @@ func TestResolverByteIdentical(t *testing.T) {
 		if calls[tag] != 1 {
 			t.Errorf("tag %s resolved %d times, want 1", tag, calls[tag])
 		}
+	}
+}
+
+// TestQuickSuiteStrictInvariants resolves every experiment of the quick
+// suite with StrictInvariants set on each point, so the first model
+// invariant a point violates fails it, and requires tables byte-identical
+// to the plain quick run.
+func TestQuickSuiteStrictInvariants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full quick sweeps")
+	}
+	base := Options{Quick: true, Seed: 1, Workers: 2}
+	plain, _, err := RunIDs(IDs(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := base
+	o.Resolver = func(cfg core.Config, tag string) (stats.Results, int64, error) {
+		cfg.StrictInvariants = true
+		sim, err := core.New(cfg)
+		if err != nil {
+			return stats.Results{}, 0, err
+		}
+		res, err := sim.Run()
+		return res, sim.Now(), err
+	}
+	strict, _, err := RunIDs(IDs(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := format(strict), format(plain); got != want {
+		t.Errorf("tables under strict invariants differ from the plain quick run:\n--- strict ---\n%s\n--- plain ---\n%s", got, want)
 	}
 }
