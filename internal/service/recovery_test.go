@@ -159,25 +159,30 @@ func TestRecoveryCompletesInterruptedRun(t *testing.T) {
 	}
 
 	// The compacted journal must show the job re-accepted and finished once —
-	// recovery neither loses nor double-reports it. The done record lands
-	// after the result is cached (durability before completion), so give the
-	// worker a moment to journal it.
-	var done int
+	// recovery neither loses nor double-reports it.
+	if done := waitForDone(t, dir, hash); done != 1 {
+		t.Fatalf("journal reports %d done records for the recovered job, want 1", done)
+	}
+}
+
+// waitForDone waits up to ten seconds for the journal in dir to hold a done
+// record for hash and returns how many it holds. The done record lands after
+// the result is cached and the job's checkpoint is removed, so a test that
+// saw the result in the cache waits here before it checks either.
+func waitForDone(t *testing.T, dir, hash string) int {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		done = 0
+		done := 0
 		for _, rec := range readJournal(t, dir) {
 			if rec.Hash == hash && rec.Kind == recDone {
 				done++
 			}
 		}
-		if done == 1 || time.Now().After(deadline) {
-			break
+		if done > 0 || time.Now().After(deadline) {
+			return done
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if done != 1 {
-		t.Fatalf("journal reports %d done records for the recovered job, want 1", done)
 	}
 }
 
@@ -235,8 +240,11 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	if !bytes.Equal(wantBody, got) {
 		t.Fatalf("resumed result differs from scratch run:\nwant %s\ngot  %s", wantBody, got)
 	}
+	if waitForDone(t, dir, hash) == 0 {
+		t.Fatal("journal never recorded the resumed job done")
+	}
 	if _, err := os.Stat(ckptFile); !os.IsNotExist(err) {
-		t.Errorf("checkpoint blob survived the published result (stat err: %v)", err)
+		t.Errorf("checkpoint blob survived the finished job (stat err: %v)", err)
 	}
 }
 
