@@ -227,7 +227,10 @@ func (s *Simulator) build(sched collective.Schedule) {
 	}
 
 	// NICs. The eject link is a NIC's only fabric input; Submit wakes it for
-	// out-of-band message injection.
+	// out-of-band message injection. Its overheads are a timetable, so it
+	// sleeps while it only counts down; a failure of its inject link wakes
+	// it. The fault and collective drivers, which stall it and submit to it,
+	// are registered before it, as deadline sleep requires.
 	s.nics = make([]*nic.NIC, s.net.N)
 	for p := 0; p < s.net.N; p++ {
 		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, &s.worms, s.sim, s.fac, s.onDelivered)
@@ -235,6 +238,8 @@ func (s *Simulator) build(sched collective.Schedule) {
 		s.nics[p] = n
 		s.sim.AddComponent(n)
 		s.sim.DeclareInputs(n, ejects[p])
+		s.sim.DeclareEventDriven(n)
+		s.sim.DeclareOutputs(n, injects[p])
 	}
 }
 

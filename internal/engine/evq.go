@@ -10,9 +10,11 @@ import "math/bits"
 // timers itself. Pushes into the wheel are O(1); the heap only sees the
 // rare far-future deadline (fault-plan activations, long probe periods).
 //
-// Bucket slices are truncated, never freed, and the heap keeps its backing
-// array, so a simulation in steady state schedules and dispatches events
-// without allocating.
+// Each bucket is a list threaded through one node slab per simulation: a
+// dispatched node goes onto a free list and the next push reuses it, and the
+// heap keeps its backing array. The slab grows only to the most events ever
+// queued at once, so a simulation schedules without allocating once it is
+// warm, and a new simulation grows one slice instead of one per bucket.
 
 const (
 	wheelBits = 8
@@ -26,6 +28,14 @@ type compEvent struct {
 	comp int32
 }
 
+// evNode is a wheel event in the node slab. next links it to the next node
+// of its bucket, or of the free list once dispatched; 0 ends a list, so
+// nodes[0] is never used.
+type evNode struct {
+	compEvent
+	next int32
+}
+
 type eventQueue struct {
 	// base is the start of the wheel window [base, base+wheelSize); no
 	// queued event is earlier than base.
@@ -35,9 +45,11 @@ type eventQueue struct {
 	earliest int64
 	n        int
 
-	buckets [wheelSize][]compEvent
-	occ     [wheelSize / 64]uint64 // occupancy bitmap over bucket slots
-	far     []compEvent            // min-heap on at, beyond the wheel horizon
+	heads [wheelSize]int32       // first node of each bucket, 0 if empty
+	occ   [wheelSize / 64]uint64 // occupancy bitmap over bucket slots
+	nodes []evNode               // node slab the bucket lists thread through
+	free  int32                  // first dispatched node, 0 if none
+	far   []compEvent            // min-heap on at, beyond the wheel horizon
 }
 
 func (q *eventQueue) len() int { return q.n }
@@ -58,12 +70,30 @@ func (q *eventQueue) push(at int64, comp int32) {
 	}
 	q.n++
 	if at-q.base < wheelSize {
-		slot := int(at & wheelMask)
-		q.buckets[slot] = append(q.buckets[slot], compEvent{at: at, comp: comp})
-		q.occ[slot>>6] |= 1 << uint(slot&63)
+		q.wheelPush(compEvent{at: at, comp: comp})
 		return
 	}
 	q.farPush(compEvent{at: at, comp: comp})
+}
+
+// wheelPush links ev into its bucket, reusing a free node if there is one.
+// Order within a bucket is immaterial: every event in it is due the same
+// cycle, and dispatch only sets awake bits.
+func (q *eventQueue) wheelPush(ev compEvent) {
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i].next
+	} else {
+		if len(q.nodes) == 0 {
+			q.nodes = append(q.nodes, evNode{})
+		}
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, evNode{})
+	}
+	slot := int(ev.at & wheelMask)
+	q.nodes[i] = evNode{compEvent: ev, next: q.heads[slot]}
+	q.heads[slot] = i
+	q.occ[slot>>6] |= 1 << uint(slot&63)
 }
 
 // popDue removes every event with at <= now and hands its component index
@@ -73,13 +103,18 @@ func (q *eventQueue) popDue(now int64, wake func(comp int32)) {
 		at := q.earliest
 		if at-q.base < wheelSize {
 			slot := int(at & wheelMask)
-			b := q.buckets[slot]
-			for _, ev := range b {
-				wake(ev.comp)
-			}
-			q.n -= len(b)
-			q.buckets[slot] = b[:0]
+			i := q.heads[slot]
+			q.heads[slot] = 0
 			q.occ[slot>>6] &^= 1 << uint(slot&63)
+			for i != 0 {
+				nd := &q.nodes[i]
+				comp, next := nd.comp, nd.next
+				nd.next = q.free
+				q.free = i
+				q.n--
+				wake(comp)
+				i = next
+			}
 		} else {
 			// The wheel is empty (a wheel event would be earlier), so the
 			// minimum lives at the top of the heap.
@@ -103,10 +138,7 @@ func (q *eventQueue) popDue(now int64, wake func(comp int32)) {
 // refill migrates heap events that now fall inside the wheel window.
 func (q *eventQueue) refill() {
 	for len(q.far) > 0 && q.far[0].at-q.base < wheelSize {
-		ev := q.farPop()
-		slot := int(ev.at & wheelMask)
-		q.buckets[slot] = append(q.buckets[slot], ev)
-		q.occ[slot>>6] |= 1 << uint(slot&63)
+		q.wheelPush(q.farPop())
 	}
 }
 
@@ -128,7 +160,7 @@ func (q *eventQueue) recomputeEarliest() {
 		}
 		if word != 0 {
 			slot := ((w+i)%len(q.occ))<<6 + bits.TrailingZeros64(word)
-			q.earliest = q.buckets[slot][0].at
+			q.earliest = q.nodes[q.heads[slot]].at
 			return
 		}
 	}
@@ -175,8 +207,10 @@ func (q *eventQueue) farPop() compEvent {
 // collect appends every queued event to dst (duplicates included) for
 // snapshot encoding; callers sort the result into canonical order.
 func (q *eventQueue) collect(dst []compEvent) []compEvent {
-	for slot := range q.buckets {
-		dst = append(dst, q.buckets[slot]...)
+	for _, i := range q.heads {
+		for ; i != 0; i = q.nodes[i].next {
+			dst = append(dst, q.nodes[i].compEvent)
+		}
 	}
 	dst = append(dst, q.far...)
 	return dst
@@ -184,12 +218,10 @@ func (q *eventQueue) collect(dst []compEvent) []compEvent {
 
 // reset empties the queue and rebases the window at now.
 func (q *eventQueue) reset(now int64) {
-	for slot := range q.buckets {
-		q.buckets[slot] = q.buckets[slot][:0]
-	}
-	for i := range q.occ {
-		q.occ[i] = 0
-	}
+	q.heads = [wheelSize]int32{}
+	q.occ = [wheelSize / 64]uint64{}
+	q.nodes = q.nodes[:min(len(q.nodes), 1)]
+	q.free = 0
 	q.far = q.far[:0]
 	q.n = 0
 	q.base = now

@@ -46,7 +46,8 @@ type Link struct {
 
 	name       string
 	carried    int64 // flits delivered over the lifetime of the link
-	capacity   int   // initial credit count, the overflow ceiling
+	capacity   int32 // initial credit count, the overflow ceiling
+	send       int32 // sending component index, -1 if undeclared
 	stuckUntil int64 // PortStuck fault: no sends strictly before this cycle
 
 	inv        *Invariants // checker sink; nil for standalone links
@@ -148,8 +149,9 @@ func (l *Link) init(name string, latency, credits int, flits []timed[flit.Ref], 
 		inflight: ring[flit.Ref]{buf: flits},
 		creditsQ: ring[int]{buf: returns},
 		recv:     -1,
+		send:     -1,
 		name:     name,
-		capacity: credits,
+		capacity: int32(credits),
 	}
 }
 
@@ -173,10 +175,10 @@ func (l *Link) fold(now int64) {
 	if q.len() > 0 {
 		l.creditAt = q.front().at
 	}
-	if l.credits > l.capacity && l.inv != nil {
+	if l.credits > int(l.capacity) && l.inv != nil {
 		l.inv.Violate(now, "credit-overflow",
 			"link %s: %d credits exceed capacity %d", l.name, l.credits, l.capacity)
-		l.credits = l.capacity
+		l.credits = int(l.capacity)
 	}
 }
 
@@ -342,8 +344,14 @@ func (l *Link) syncArrival() {
 
 // Fail marks the link permanently dead at worm granularity (LinkDown fault):
 // a worm mid-transfer finishes, after which CanSend refuses new worms.
-// In-flight flits are never dropped.
-func (l *Link) Fail() { l.failed = true }
+// In-flight flits are never dropped. A sender declared with DeclareOutputs
+// that sleeps while holding work wakes, so it sees the failure this cycle.
+func (l *Link) Fail() {
+	l.failed = true
+	if l.send >= 0 && l.sim.comps[l.send].busy {
+		l.sim.wakeIdx(l.send)
+	}
+}
 
 // Dead reports whether Fail was applied. Senders and routing use it to drop
 // or reroute new worms at a clean boundary instead of waiting forever.

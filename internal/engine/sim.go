@@ -28,10 +28,13 @@ type Component interface {
 
 // NextWaker is implemented by components whose stimulus is a timetable
 // rather than link traffic: fault-plan drivers, periodic probes, watchdog
-// timers. NextWake returns the next cycle strictly after now at which the
-// component needs to be stepped, or ok=false if it has no pending deadline
-// (it then sleeps until an explicit Wake). The kernel queries it when the
-// component quiesces and schedules a wake event for the returned cycle.
+// timers, a NIC's software overheads. NextWake returns the next cycle
+// strictly after now at which the component needs to be stepped, or
+// ok=false if it has no pending deadline (a quiesced component then sleeps
+// until an explicit Wake). The kernel queries it after a step with nothing
+// arrived for the component and schedules a wake event for the returned
+// cycle. DeclareEventDriven says when a component that holds work may
+// report one.
 type NextWaker interface {
 	NextWake(now int64) (at int64, ok bool)
 }
@@ -59,16 +62,23 @@ const noWake = int64(math.MaxInt64)
 // component with declared event sources (input links via DeclareInputs, or
 // a timetable via DeclareEventDriven) may be put to sleep — skipped by Step
 // and excluded from clock-jump decisions — once it is quiesced and nothing
-// has arrived for it; a queued wake event, a send on an input link, or an
-// explicit Wake re-arms it. Components that never declared event sources
-// are stepped every cycle, exactly like the pre-event-kernel engine, so
-// ad-hoc harnesses keep their semantics.
+// has arrived for it, or, if it declared a timetable, while it holds work
+// that only waits for its next deadline; a queued wake event, a send on an
+// input link, or an explicit Wake re-arms it. Components that never
+// declared event sources are stepped every cycle, exactly like the
+// pre-event-kernel engine, so ad-hoc harnesses keep their semantics.
 type compEntry struct {
 	c         Component
 	inputs    []*Link
 	nw        NextWaker
 	sleepable bool
-	asleep    bool
+	// deadline lets the component sleep while it holds work, until its
+	// NextWake deadline; fixed at DeclareEventDriven.
+	deadline bool
+	asleep   bool
+	// busy marks a sleeper that holds work: Quiesced and the watchdog count
+	// it as busy and progressing on every cycle it sleeps through.
+	busy bool
 	// wakeAt is the earliest queued wake event for this component (noWake
 	// if none); it suppresses redundant events for later cycles.
 	wakeAt int64
@@ -76,16 +86,19 @@ type compEntry struct {
 
 // Simulation owns the clock, the components, and the links. It is a
 // discrete-event kernel: components declare their event sources, sleep when
-// quiesced, and are re-armed by wake events queued in a calendar queue
-// (link deliveries at now+latency, fault-plan activations, probe
-// deadlines). While any component is awake the clock steps cycle by cycle;
-// when every component sleeps, Run/RunUntil jump the clock straight to the
-// next queued event (or the watchdog deadline, or the budget limit).
+// quiesced or when their only work is a countdown to a deadline, and are
+// re-armed by wake events queued in a calendar queue (link deliveries at
+// now+latency, fault-plan activations, probe deadlines, a NIC's overheads).
+// While any component is awake the clock steps cycle by cycle; when every
+// component sleeps, Run/RunUntil jump the clock straight to the next queued
+// event (or the watchdog deadline, or the budget limit).
 //
 // Because an idle component's Step is required to be a no-op — the model
 // components draw no randomness and mutate no arbitration state while idle —
-// skipping and jumping preserve exact cycle semantics while removing the
-// per-cycle cost of the (often dominant) idle fraction of the fabric.
+// and a component that sleeps on a deadline charges the countdown cycles it
+// skipped when it wakes, skipping and jumping preserve exact cycle semantics
+// while removing the per-cycle cost of the (often dominant) idle fraction of
+// the fabric.
 type Simulation struct {
 	// Now is the current cycle, visible to components mid-step.
 	Now int64
@@ -98,7 +111,9 @@ type Simulation struct {
 	compIdx    map[Component]int
 	awake      []uint64 // bitmap over comps; set = stepped each cycle
 	awakeCount int
-	evq        eventQueue
+	// busySleepers counts sleeping components that hold work.
+	busySleepers int
+	evq          eventQueue
 
 	links []*Link
 	// linkSlab, flitSlab and creditSlab back Simulation-created links and
@@ -166,10 +181,20 @@ func (s *Simulation) DeclareInputs(c Component, inputs ...*Link) {
 	}
 }
 
-// DeclareEventDriven registers c's timetable as an event source: when c
-// quiesces, the kernel asks its NextWake for the next deadline and sleeps
-// it until then. c must implement NextWaker. May be combined with
-// DeclareInputs; the earlier of link arrival and deadline wins.
+// DeclareEventDriven registers c's timetable as an event source: after each
+// step with nothing arrived for c, the kernel asks its NextWake for the next
+// deadline and sleeps it until then. c must implement NextWaker. May be
+// combined with DeclareInputs; the earlier of link arrival and deadline
+// wins.
+//
+// c may then sleep while it holds work, on a deadline only. Its NextWake
+// must report one only when every cycle before it would change nothing of c
+// but a countdown that c charges itself when it next steps, and would call
+// Progress; the kernel counts c as busy and progressing on each such cycle.
+// Out-of-band stimulus that changes the countdown (a Submit, a stall) must
+// Wake c, and come between cycles or from a component registered before c,
+// so that c sees it on the cycle it happens. Under the mdworm_oracle build
+// tag c is stepped every cycle while it holds work.
 func (s *Simulation) DeclareEventDriven(c Component) {
 	i, ok := s.compIdx[c]
 	if !ok {
@@ -182,6 +207,24 @@ func (s *Simulation) DeclareEventDriven(c Component) {
 	e := &s.comps[i]
 	e.sleepable = true
 	e.nw = nw
+	e.deadline = DeadlineSleep
+}
+
+// DeclareOutputs tells the scheduler which links c sends on: a failure of
+// one of them (Link.Fail) wakes c if it sleeps while holding work, so that
+// it sees the failure on the cycle it happens. A component that sleeps only
+// when quiesced need not declare its outputs.
+func (s *Simulation) DeclareOutputs(c Component, outputs ...*Link) {
+	i, ok := s.compIdx[c]
+	if !ok {
+		panic("engine: DeclareOutputs for unregistered component " + c.Name())
+	}
+	for _, l := range outputs {
+		if l != nil {
+			l.sim = s
+			l.send = int32(i)
+		}
+	}
 }
 
 // Wake re-arms a sleeping component immediately (it steps on the current
@@ -208,7 +251,9 @@ func (s *Simulation) ScheduleWakeAt(c Component, at int64) error {
 	return nil
 }
 
-// wakeIdx clears the sleep state of component i, effective this cycle.
+// wakeIdx clears the sleep state of component i, effective this cycle. A
+// busy sleeper progressed on every cycle it slept through, so the watchdog
+// sees activity up to the previous cycle.
 func (s *Simulation) wakeIdx(i int32) {
 	e := &s.comps[i]
 	e.wakeAt = noWake
@@ -216,6 +261,11 @@ func (s *Simulation) wakeIdx(i int32) {
 		e.asleep = false
 		s.awake[i>>6] |= 1 << uint(i&63)
 		s.awakeCount++
+		if e.busy {
+			e.busy = false
+			s.busySleepers--
+			s.lastActivity = max(s.lastActivity, s.Now-1)
+		}
 	}
 }
 
@@ -272,12 +322,12 @@ func (s *Simulation) Links() []*Link { return s.links }
 // real work advances without flits moving.
 func (s *Simulation) Progress() { s.activity++ }
 
-// Quiesced reports whether every component and link is idle. Sleeping
-// components are quiesced by construction (sleep is only entered from a
-// quiesced state and asleep components are never stepped), so the check
+// Quiesced reports whether every component and link is idle. A component
+// that went to sleep quiesced stays so, since asleep components are never
+// stepped, and those that sleep while holding work are counted, so the check
 // scans only busy links and awake components.
 func (s *Simulation) Quiesced() bool {
-	if s.busyLinks > 0 {
+	if s.busyLinks > 0 || s.busySleepers > 0 {
 		return false
 	}
 	for w, word := range s.awake {
@@ -331,16 +381,33 @@ func (s *Simulation) Step() {
 	s.Now++
 }
 
-// maybeSleep puts component i to sleep if it is quiesced and nothing has
-// arrived for it, queueing a wake event for its earliest future stimulus
-// (the head flit of an in-flight input, or its NextWake deadline). A
-// stimulus due next cycle keeps it awake — sleeping for one cycle buys
-// nothing over stepping.
+// maybeSleep puts component i to sleep if nothing has arrived for it and
+// it is quiesced or, when it was declared with a deadline, its NextWake
+// reports one; it queues a wake event for the earliest future stimulus (the
+// head flit of an in-flight input, or the NextWake deadline). A component
+// that holds work and reports no deadline stays awake, and so does one whose
+// stimulus is due next cycle — sleeping for one cycle buys nothing over
+// stepping.
 func (s *Simulation) maybeSleep(i int, e *compEntry) {
-	if !e.sleepable || !e.c.Quiesced() {
+	if !e.sleepable {
+		return
+	}
+	busy := !e.c.Quiesced()
+	if busy && !e.deadline {
 		return
 	}
 	wakeAt := noWake
+	if e.nw != nil {
+		at, ok := e.nw.NextWake(s.Now)
+		switch {
+		case ok && at <= s.Now:
+			return
+		case ok:
+			wakeAt = at
+		case busy:
+			return
+		}
+	}
 	for _, l := range e.inputs {
 		at := l.headAt
 		if at <= s.Now {
@@ -350,22 +417,16 @@ func (s *Simulation) maybeSleep(i int, e *compEntry) {
 			wakeAt = at
 		}
 	}
-	if e.nw != nil {
-		if at, ok := e.nw.NextWake(s.Now); ok {
-			if at <= s.Now {
-				return
-			}
-			if at < wakeAt {
-				wakeAt = at
-			}
-		}
-	}
 	if wakeAt == s.Now+1 {
 		return
 	}
 	e.asleep = true
 	s.awake[i>>6] &^= 1 << uint(i&63)
 	s.awakeCount--
+	if busy {
+		e.busy = true
+		s.busySleepers++
+	}
 	if wakeAt != noWake {
 		s.scheduleWake(int32(i), wakeAt)
 	}
@@ -381,16 +442,18 @@ func (s *Simulation) Advance(limit int64) error {
 		s.Step()
 		return s.checkWatchdog()
 	}
-	// Everyone is asleep, hence quiesced; only wire latency and queued
-	// deadlines separate us from the next state change.
+	// Everyone is asleep: quiesced, or counting down to a queued deadline.
+	// Only wire latency and queued deadlines separate us from the next state
+	// change.
 	target := limit
 	if at, ok := s.evq.peek(); ok && at < target {
 		target = at
 	}
-	if s.WatchdogLimit > 0 && s.busyLinks > 0 {
+	if s.WatchdogLimit > 0 && s.busyLinks > 0 && s.busySleepers == 0 {
 		// Do not jump past the cycle where the watchdog would have fired
 		// under per-cycle stepping, so deadlock reports keep their exact
-		// cycle and stuck set.
+		// cycle and stuck set. A busy sleeper progresses on every cycle
+		// until its deadline, so the watchdog cannot fire before it.
 		if dl := s.lastActivity + s.WatchdogLimit + 1; dl < target {
 			target = dl
 		}
@@ -425,8 +488,10 @@ func (s *Simulation) Run(cycles int64) error {
 // satisfied. A non-positive budget is rejected with an error.
 //
 // pred must depend only on component, link, and statistics state — never on
-// the raw clock — because the kernel skips it over spans where no component
-// steps (no state it may legally read can change there).
+// the raw clock, nor on a countdown that a component sleeping on a deadline
+// charges when it wakes (a NIC's OverheadCycles) — because the kernel skips
+// it over spans where no component steps (no state it may legally read can
+// change there).
 func (s *Simulation) RunUntil(pred func() bool, maxCycles int64) (bool, error) {
 	if maxCycles <= 0 {
 		return false, fmt.Errorf("engine: RunUntil needs a positive cycle budget, got %d", maxCycles)
@@ -461,7 +526,8 @@ func (s *Simulation) PendingEvents() int { return s.evq.len() }
 func (s *Simulation) CheckWatchdog() error { return s.checkWatchdog() }
 
 func (s *Simulation) checkWatchdog() error {
-	if s.WatchdogLimit <= 0 || s.Now-s.lastActivity <= s.WatchdogLimit {
+	// A busy sleeper progressed on every cycle before now.
+	if s.WatchdogLimit <= 0 || s.Now-s.lastActivity <= s.WatchdogLimit || s.busySleepers > 0 {
 		return nil
 	}
 	if s.Quiesced() {

@@ -8,7 +8,7 @@ import (
 )
 
 // Checkpoint support: the engine serializes exactly the state that evolves
-// at runtime — clock, activity counters, scheduler sleep flags, link queues
+// at runtime — clock, activity counters, scheduler sleep states, link queues
 // and credits, RNG stream positions — and skips everything fixed at
 // construction (names, latencies, capacities, wiring), which the restoring
 // process rebuilds from the run configuration.
@@ -92,7 +92,7 @@ func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 	if d.Err() != nil {
 		return
 	}
-	if l.credits < 0 || l.credits > l.capacity {
+	if l.credits < 0 || l.credits > int(l.capacity) {
 		d.Fail("link %s: %d credits outside [0,%d]", l.name, l.credits, l.capacity)
 	}
 }
@@ -108,8 +108,17 @@ func (l *Link) syncDue() {
 	}
 }
 
+// Sleep states of a component in the engine section: awake, asleep, or
+// asleep while holding work (on a deadline). The first two were written as a
+// bool, so checkpoints without deadline sleepers keep their bytes.
+const (
+	stateAwake uint8 = iota
+	stateAsleep
+	stateAsleepBusy
+)
+
 // EncodeState writes the simulation's clock, activity counters, scheduler
-// sleep flags (by registration index), and every registered link's state
+// sleep states (by registration index), and every registered link's state
 // (by registration order).
 func (s *Simulation) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.I64(s.Now)
@@ -117,7 +126,14 @@ func (s *Simulation) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.I64(s.lastActivity)
 	e.Int(len(s.comps))
 	for i := range s.comps {
-		e.Bool(s.comps[i].asleep)
+		switch c := &s.comps[i]; {
+		case c.busy:
+			e.U8(stateAsleepBusy)
+		case c.asleep:
+			e.U8(stateAsleep)
+		default:
+			e.U8(stateAwake)
+		}
 	}
 	e.Int(len(s.links))
 	for _, l := range s.links {
@@ -141,7 +157,13 @@ func (s *Simulation) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		return
 	}
 	for i := 0; i < nc; i++ {
-		s.comps[i].asleep = d.Bool()
+		st := d.U8()
+		if st > stateAsleepBusy {
+			d.Fail("simulation: component %d sleep state %d", i, st)
+			return
+		}
+		s.comps[i].asleep = st != stateAwake
+		s.comps[i].busy = st == stateAsleepBusy
 	}
 	nl := d.Count(1)
 	if d.Err() != nil {
@@ -157,18 +179,23 @@ func (s *Simulation) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			return
 		}
 	}
-	// Rebuild the derived scheduler state: the awake bitmap mirrors the
-	// asleep flags, the busy-link census mirrors the decoded wires, and the
-	// event queue starts empty (DecodeEvents fills in wakes).
+	// Rebuild the derived scheduler state: the awake bitmap and the busy
+	// sleeper count mirror the sleep states, the busy-link census mirrors
+	// the decoded wires, and the event queue starts empty (DecodeEvents
+	// fills in wakes).
 	for i := range s.awake {
 		s.awake[i] = 0
 	}
-	s.awakeCount = 0
+	s.awakeCount, s.busySleepers = 0, 0
 	for i := range s.comps {
-		s.comps[i].wakeAt = noWake
-		if !s.comps[i].asleep {
+		c := &s.comps[i]
+		c.wakeAt = noWake
+		if !c.asleep {
 			s.awake[i>>6] |= 1 << uint(i&63)
 			s.awakeCount++
+		}
+		if c.busy {
+			s.busySleepers++
 		}
 	}
 	s.busyLinks = 0

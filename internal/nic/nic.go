@@ -3,10 +3,20 @@
 // the forwarding engine that software multicast schemes rely on (a received
 // message that carries a ForwardStep is re-sent to the receiver's subtree
 // after a software receive overhead).
+//
+// The overheads are countdowns, and a NIC whose only work is counting down
+// need not be stepped every cycle: registered with
+// engine.Simulation.DeclareEventDriven, it reports through NextWake the cycle
+// its send overhead runs out, its next forwarding task is ready, or its stall
+// window ends, and the kernel sleeps it until then. When it next steps, and
+// before Submit, StallUntil, Stats or EncodeState, it charges the countdown
+// cycles it slept through, so its counters, checkpoint and trace are those of
+// a NIC stepped every cycle.
 package nic
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mdworm/internal/collective"
@@ -94,6 +104,10 @@ type NIC struct {
 	stallUntil int64 // NICStall fault: no injection strictly before this cycle
 	onDrop     func(m *flit.Message, ndests int, now int64)
 
+	// settled is the last cycle whose send-overhead countdown is charged:
+	// the cycle of the last step, or the one before a settle.
+	settled int64
+
 	stats Stats
 }
 
@@ -126,10 +140,15 @@ func (nc *NIC) Proc() int { return nc.proc }
 
 // StallUntil pauses injection strictly before the given cycle (the NICStall
 // fault); overlapping windows keep the latest deadline. Ejection and
-// software forwarding timers continue.
+// software forwarding timers continue. A NIC with work wakes, so a countdown
+// it sleeps through stops on this cycle.
 func (nc *NIC) StallUntil(cycle int64) {
 	if cycle > nc.stallUntil {
+		nc.settle(nc.sim.Now)
 		nc.stallUntil = cycle
+		if !nc.Quiesced() {
+			nc.sim.Wake(nc)
+		}
 	}
 }
 
@@ -142,7 +161,10 @@ func (nc *NIC) SetOnDrop(fn func(m *flit.Message, ndests int, now int64)) { nc.o
 func (nc *NIC) Name() string { return fmt.Sprintf("nic%d", nc.proc) }
 
 // Stats returns a snapshot of the NIC counters.
-func (nc *NIC) Stats() Stats { return nc.stats }
+func (nc *NIC) Stats() Stats {
+	nc.settle(nc.sim.Now)
+	return nc.stats
+}
 
 // QueueLen returns the current injection queue length (pending messages).
 func (nc *NIC) QueueLen() int {
@@ -161,6 +183,7 @@ func (nc *NIC) PendingForwards() int { return len(nc.tasks) }
 // the scheduler: a submit is out-of-band stimulation the link fabric cannot
 // see, so an idle (skipped) NIC must be woken explicitly.
 func (nc *NIC) Submit(msgs ...*flit.Message) {
+	nc.settle(nc.sim.Now)
 	nc.sendQ = append(nc.sendQ, msgs...)
 	nc.queued()
 }
@@ -182,9 +205,63 @@ func (nc *NIC) Quiesced() bool {
 // Step advances the NIC one cycle: eject one flit, run forwarding timers,
 // and inject one flit.
 func (nc *NIC) Step(now int64) {
+	if now > nc.settled+1 {
+		nc.settle(now)
+	}
 	nc.stepEject(now)
 	nc.stepForward(now)
 	nc.stepInject(now)
+	nc.settled = now
+}
+
+// NextWake implements engine.NextWaker: the cycle a NIC whose only work is
+// counting down must step next. That is the first of its send overhead
+// running out, its next forwarding task becoming ready and, while a task
+// keeps it counting, the end of a stall window. It reports none when it holds
+// no work, and none while a worm is in flight or a stall leaves nothing
+// counting: it is stepped every cycle then, so that every cycle it sleeps
+// through counts down and would have called Progress.
+func (nc *NIC) NextWake(now int64) (int64, bool) {
+	if nc.curWorm != nil || nc.recvWorm != nil {
+		return 0, false
+	}
+	at := int64(math.MaxInt64)
+	for _, t := range nc.tasks {
+		at = min(at, t.readyAt)
+	}
+	if len(nc.sendQ) > 0 {
+		switch {
+		case now+1 >= nc.stallUntil:
+			left := nc.overheadLeft
+			if left == 0 {
+				left = nc.cfg.SendOverhead
+			}
+			at = min(at, now+int64(max(left, 1)))
+		case len(nc.tasks) == 0:
+			return 0, false
+		default:
+			at = min(at, nc.stallUntil)
+		}
+	}
+	return at, at != math.MaxInt64
+}
+
+// settle charges the send-overhead countdown for the cycles before now that
+// the NIC slept through: every cycle after the last charged one, outside a
+// stall window, while a message waited for its overhead. Nothing that
+// changes those conditions reaches a sleeping NIC without waking it, and
+// Submit and StallUntil settle before they change them.
+func (nc *NIC) settle(now int64) {
+	if nc.curWorm == nil && len(nc.sendQ) > 0 {
+		if n := now - max(nc.settled+1, nc.stallUntil); n > 0 {
+			if nc.overheadLeft == 0 {
+				nc.overheadLeft = nc.cfg.SendOverhead
+			}
+			nc.overheadLeft -= int(n)
+			nc.stats.OverheadCycles += n
+		}
+	}
+	nc.settled = max(nc.settled, now-1)
 }
 
 func (nc *NIC) stepEject(now int64) {

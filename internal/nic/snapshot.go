@@ -8,8 +8,11 @@ import (
 // in-progress worms, software-forwarding timers, the stall window, and its
 // counters; wiring and configuration are rebuilt from the run config.
 
-// EncodeState writes the NIC's mutable state.
+// EncodeState writes the NIC's mutable state, first charging the countdown
+// cycles it slept through. overheadSpent is always false between steps; it
+// is still written, so the section keeps its layout.
 func (nc *NIC) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
+	nc.settle(nc.sim.Now)
 	e.Int(len(nc.sendQ))
 	for _, m := range nc.sendQ {
 		e.U64(g.MsgID(m))
@@ -37,8 +40,11 @@ func (nc *NIC) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	e.I64(nc.stats.OverheadCycles)
 }
 
-// DecodeState restores the NIC over a freshly constructed twin.
+// DecodeState restores the NIC over a freshly constructed twin. The
+// simulation's clock must be restored first: the encoded countdown is
+// charged through the cycle before it.
 func (nc *NIC) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
+	nc.settled = nc.sim.Now - 1
 	nq := d.Count(8)
 	nc.sendQ = nil
 	for i := 0; i < nq && d.Err() == nil; i++ {
