@@ -72,10 +72,7 @@ type compEntry struct {
 	inputs    []*Link
 	nw        NextWaker
 	sleepable bool
-	// deadline lets the component sleep while it holds work, until its
-	// NextWake deadline; fixed at DeclareEventDriven.
-	deadline bool
-	asleep   bool
+	asleep    bool
 	// busy marks a sleeper that holds work: Quiesced and the watchdog count
 	// it as busy and progressing on every cycle it sleeps through.
 	busy bool
@@ -207,7 +204,6 @@ func (s *Simulation) DeclareEventDriven(c Component) {
 	e := &s.comps[i]
 	e.sleepable = true
 	e.nw = nw
-	e.deadline = DeadlineSleep
 }
 
 // DeclareOutputs tells the scheduler which links c sends on: a failure of
@@ -382,8 +378,8 @@ func (s *Simulation) Step() {
 }
 
 // maybeSleep puts component i to sleep if nothing has arrived for it and
-// it is quiesced or, when it was declared with a deadline, its NextWake
-// reports one; it queues a wake event for the earliest future stimulus (the
+// it is quiesced or, when it declared a timetable, its NextWake reports a
+// deadline; it queues a wake event for the earliest future stimulus (the
 // head flit of an in-flight input, or the NextWake deadline). A component
 // that holds work and reports no deadline stays awake, and so does one whose
 // stimulus is due next cycle — sleeping for one cycle buys nothing over
@@ -393,7 +389,7 @@ func (s *Simulation) maybeSleep(i int, e *compEntry) {
 		return
 	}
 	busy := !e.c.Quiesced()
-	if busy && !e.deadline {
+	if busy && (e.nw == nil || !DeadlineSleep) {
 		return
 	}
 	wakeAt := noWake
