@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -218,9 +219,33 @@ func TestEventDrivenTimetable(t *testing.T) {
 	}
 }
 
+// TestSameCycleDeadlinesPastTheHorizon checks that when the clock jumps a
+// long way to a cycle on which two components' deadlines fall, both step
+// then, not with a later deadline queued behind them.
+func TestSameCycleDeadlinesPastTheHorizon(t *testing.T) {
+	sim := NewSimulation(0)
+	tts := []*timetable{
+		{recorder: recorder{name: "a"}, deadlines: []int64{1000}},
+		{recorder: recorder{name: "b"}, deadlines: []int64{1000}},
+		{recorder: recorder{name: "c"}, deadlines: []int64{1100}},
+	}
+	for _, tt := range tts {
+		sim.AddComponent(tt)
+		sim.DeclareEventDriven(tt)
+	}
+	if err := sim.Run(2000); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range tts {
+		if !slices.Equal(tt.cycles, tt.deadlines) {
+			t.Errorf("%s stepped at its deadlines %v, want %v", tt.name, tt.cycles, tt.deadlines)
+		}
+	}
+}
+
 // TestEventSchedulingSteadyStateAllocs pins the zero-alloc property of the
-// calendar queue itself: a component cycling asleep/awake through scheduled
-// wake events must not allocate once the queue's buckets are warm.
+// event queue itself: a component cycling asleep/awake through scheduled
+// wake events must not allocate once the queue's heap is warm.
 func TestEventSchedulingSteadyStateAllocs(t *testing.T) {
 	sim := NewSimulation(0)
 	l := sim.NewLink("wire", 7, 8)
@@ -236,7 +261,7 @@ func TestEventSchedulingSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	send() // warm the wheel, the rings, and the journal slices
+	send() // warm the heap, the rings, and the journal slices
 	c.cycles = c.cycles[:0]
 	avg := testing.AllocsPerRun(50, send)
 	if avg != 0 {

@@ -71,7 +71,7 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // Sample returns k distinct uniform values from [0, n) other than excl
-// (-1 excludes nothing). pool is caller-owned scratch: Sample refills it
+// (-1 excludes nothing). pool is caller-owned scratch: Sample rewrites it
 // with the candidate population on every call and keeps its storage, so a
 // caller that draws repeatedly allocates only the returned slice. It panics
 // if fewer than k values are available.

@@ -10,8 +10,8 @@ import (
 )
 
 // Kernel names the scheduling discipline compiled into this engine, for
-// benchmark attribution ("event" = calendar-queue event kernel, "cycle" =
-// the pre-event per-cycle sweep).
+// benchmark attribution: "event", the event-driven kernel that steps awake
+// components and wakes sleeping ones from a heap of queued wake events.
 const Kernel = "event"
 
 // Component is a clocked element of the simulated system (a switch or a
@@ -84,7 +84,7 @@ type compEntry struct {
 // Simulation owns the clock, the components, and the links. It is a
 // discrete-event kernel: components declare their event sources, sleep when
 // quiesced or when their only work is a countdown to a deadline, and are
-// re-armed by wake events queued in a calendar queue (link deliveries at
+// re-armed by wake events queued in a binary min-heap (link deliveries at
 // now+latency, fault-plan activations, probe deadlines, a NIC's overheads).
 // While any component is awake the clock steps cycle by cycle; when every
 // component sleeps, Run/RunUntil jump the clock straight to the next queued
@@ -299,7 +299,7 @@ func (s *Simulation) NewLink(name string, latency, credits int) *Link {
 	return l
 }
 
-// carve cuts n elements off the front of *slab, refilling it with room for
+// carve cuts n elements off the front of *slab, replacing it with room for
 // 64 such cuts when it runs short.
 func carve[T any](slab *[]T, n int) []T {
 	if len(*slab) < n {

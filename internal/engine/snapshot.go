@@ -204,7 +204,7 @@ func (s *Simulation) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			s.busyLinks++
 		}
 	}
-	s.evq.reset(s.Now)
+	s.evq.reset()
 }
 
 // eventSectionVersion tags the encoding of the kernel's event-queue
@@ -249,7 +249,7 @@ func (s *Simulation) DecodeEvents(d *ckpt.Dec) {
 		d.Fail("events: unsupported section version %d", v)
 		return
 	}
-	s.evq.reset(s.Now)
+	s.evq.reset()
 	n := d.Count(16)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		at := d.I64()

@@ -90,11 +90,10 @@ type NIC struct {
 	factory collective.MessageFactory
 	onDelv  DeliveredFunc
 
-	sendQ         []*flit.Message
-	overheadLeft  int
-	overheadSpent bool // overhead for the head message already paid
-	curWorm       *flit.Worm
-	curIdx        int
+	sendQ        []*flit.Message
+	overheadLeft int
+	curWorm      *flit.Worm
+	curIdx       int
 
 	recvWorm *flit.Worm
 	recvGot  int
@@ -359,23 +358,19 @@ func (nc *NIC) stepInject(now int64) {
 		if len(nc.sendQ) == 0 {
 			return
 		}
-		if !nc.overheadSpent {
-			if nc.overheadLeft == 0 {
-				nc.overheadLeft = nc.cfg.SendOverhead
-			}
+		if nc.overheadLeft == 0 {
+			nc.overheadLeft = nc.cfg.SendOverhead
+		}
+		if nc.overheadLeft > 0 {
+			nc.overheadLeft--
+			nc.stats.OverheadCycles++
+			nc.sim.Progress()
 			if nc.overheadLeft > 0 {
-				nc.overheadLeft--
-				nc.stats.OverheadCycles++
-				nc.sim.Progress()
-				if nc.overheadLeft > 0 {
-					return
-				}
+				return
 			}
-			nc.overheadSpent = true
 		}
 		m := nc.sendQ[0]
 		nc.sendQ = slices.Delete(nc.sendQ, 0, 1)
-		nc.overheadSpent = false
 		nc.curWorm = nc.worms.New()
 		*nc.curWorm = flit.Worm{
 			ID:      nc.ids.Next(),
@@ -426,7 +421,6 @@ func (nc *NIC) dropPending(now int64) {
 	}
 	clear(nc.sendQ)
 	nc.sendQ = nc.sendQ[:0]
-	nc.overheadSpent = false
 	nc.overheadLeft = 0
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mdworm/internal/bitset"
+	"mdworm/internal/ckpt"
 	"mdworm/internal/engine"
 	"mdworm/internal/flit"
 )
@@ -228,5 +229,23 @@ func TestConfigValidate(t *testing.T) {
 	bad.RecvFIFOFlits = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero receive FIFO accepted")
+	}
+}
+
+// TestDecodeStateRejectsNonzeroLayoutByte checks that DecodeState accepts the
+// zero byte EncodeState writes after the send overhead and fails on any
+// other value.
+func TestDecodeStateRejectsNonzeroLayoutByte(t *testing.T) {
+	var enc ckpt.Enc
+	newEnv(t, DefaultConfig()).nic.EncodeState(&enc, ckpt.NewGraph())
+	blob := enc.Bytes()
+	const at = 16 // after an empty send queue's count and overheadLeft
+	for _, v := range []byte{0, 1} {
+		blob[at] = v
+		d := ckpt.NewDec(blob)
+		newEnv(t, DefaultConfig()).nic.DecodeState(d, ckpt.NewGraph())
+		if (d.Err() != nil) != (v != 0) {
+			t.Errorf("byte %d after the send overhead: decode error %v", v, d.Err())
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // counters; wiring and configuration are rebuilt from the run config.
 
 // EncodeState writes the NIC's mutable state, first charging the countdown
-// cycles it slept through. overheadSpent is always false between steps; it
-// is still written, so the section keeps its layout.
+// cycles it slept through. A zero byte follows overheadLeft so that the
+// section keeps the layout of older blobs and of the pinned digests;
+// DecodeState rejects any other value.
 func (nc *NIC) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 	nc.settle(nc.sim.Now)
 	e.Int(len(nc.sendQ))
@@ -18,7 +19,7 @@ func (nc *NIC) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 		e.U64(g.MsgID(m))
 	}
 	e.Int(nc.overheadLeft)
-	e.Bool(nc.overheadSpent)
+	e.U8(0)
 	e.U64(g.WormID(nc.curWorm))
 	e.Int(nc.curIdx)
 	e.U64(g.WormID(nc.recvWorm))
@@ -59,7 +60,9 @@ func (nc *NIC) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		nc.sendQ = append(nc.sendQ, m)
 	}
 	nc.overheadLeft = d.Int()
-	nc.overheadSpent = d.Bool()
+	if v := d.U8(); v != 0 {
+		d.Fail("%s: nonzero byte %d after the send overhead", nc.Name(), v)
+	}
 	nc.curWorm = g.WormAt(d, d.U64())
 	nc.curIdx = d.Int()
 	nc.recvWorm = g.WormAt(d, d.U64())

@@ -28,14 +28,6 @@ func (o *SweepObserver) Record(tag string, s Summary) {
 	o.agg = o.agg.Merge(s)
 }
 
-// Point returns the recorded summary for one sweep tag.
-func (o *SweepObserver) Point(tag string) (Summary, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s, ok := o.points[tag]
-	return s, ok
-}
-
 // Points returns a copy of every recorded per-tag summary.
 func (o *SweepObserver) Points() map[string]Summary {
 	o.mu.Lock()

@@ -637,20 +637,6 @@ func (p *Pool) SetDeadline(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// QueueDepth returns the number of jobs admitted but not yet finished
-// (queued plus running).
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, j := range p.jobs {
-		if j.state == JobQueued || j.state == JobRunning {
-			n++
-		}
-	}
-	return n
-}
-
 // RetryAfter estimates when a rejected client should try again: the current
 // queue depth times the observed mean job cost, divided across the workers,
 // clamped to [1s, 5min]. Before any job has finished a conservative default

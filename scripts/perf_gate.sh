@@ -11,8 +11,9 @@
 #      driver's phase machinery.
 #
 # The floors are deliberately far under the event kernel's measured rates so
-# shared CI runners don't flake, yet high enough that losing the
-# calendar-queue scheduler or the zero-alloc switch data paths trips them.
+# shared CI runners don't flake, yet high enough that losing the sleeping
+# components and clock jumps of the event kernel or the zero-alloc switch
+# data paths trips them.
 #
 # Override the floors (cycles/sec) with PERF_GATE_FLOOR and
 # PERF_GATE_COLL_FLOOR, e.g. for a local run on a loaded laptop:
