@@ -56,10 +56,11 @@ func FuzzEventQueue(f *testing.F) {
 			var got, want []int32
 			q.popDue(now, func(comp int32) { got = append(got, comp) })
 			ref = slices.DeleteFunc(ref, func(ev compEvent) bool {
-				if ev.at <= now {
+				due := ev.at <= now
+				if due {
 					want = append(want, ev.comp)
 				}
-				return ev.at <= now
+				return due
 			})
 			slices.Sort(got)
 			slices.Sort(want)
