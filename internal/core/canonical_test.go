@@ -120,3 +120,35 @@ func TestSwitchWidthBound(t *testing.T) {
 		}
 	}
 }
+
+// The topology fields a kind ignores — Arity and Stages on an irregular
+// tree, Tree on a k-ary one — describe nothing of the system, so they must
+// not survive canonicalization and split the cache key.
+func TestCanonicalizeDropsUnusedTopologyFields(t *testing.T) {
+	tree := DefaultConfig() // Arity 4 and Stages 3, as every irregular request carries
+	tree.Topology = IrregularTree
+	tree.Tree = topology.TreeSpec{Switches: 6, MinHosts: 1, MaxHosts: 3, MaxChildren: 2, Seed: 5}
+	strayArity := tree
+	strayArity.Arity, strayArity.Stages = 2, 5
+
+	kary := DefaultConfig()
+	strayTree := kary
+	strayTree.Tree = tree.Tree
+
+	for name, pair := range map[string][2]Config{
+		"irregular tree with another arity": {tree, strayArity},
+		"k-ary tree with a tree spec":       {kary, strayTree},
+	} {
+		a, err := pair[0].Canonicalize()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := pair[1].Canonicalize()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: canonical forms differ:\n%+v\n%+v", name, a, b)
+		}
+	}
+}

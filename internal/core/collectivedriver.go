@@ -31,6 +31,7 @@ const (
 // op.
 type collectiveDriver struct {
 	s     *Simulator
+	idx   int // the driver's component index, which it schedules wakes for
 	spec  collective.Spec
 	sched collective.Schedule
 	skew  traffic.Skew
@@ -271,7 +272,7 @@ func (d *collectiveDriver) onOpDone(idx int, op *flit.Op, now int64) {
 		}
 	}
 	if wake > now {
-		if err := d.s.sim.ScheduleWakeAt(d, wake); err != nil {
+		if err := d.s.sim.ScheduleWakeAt(d.idx, wake); err != nil {
 			panic(err)
 		}
 	}
@@ -311,7 +312,7 @@ func (d *collectiveDriver) finishRep(now int64) {
 	d.rep++
 	if d.rep < d.spec.Reps {
 		d.repStart = now + max(1, d.spec.GapCycles)
-		if err := d.s.sim.ScheduleWakeAt(d, d.repStart); err != nil {
+		if err := d.s.sim.ScheduleWakeAt(d.idx, d.repStart); err != nil {
 			panic(err)
 		}
 	}

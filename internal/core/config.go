@@ -5,6 +5,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"mdworm/internal/collective"
 	"mdworm/internal/faults"
@@ -165,19 +167,78 @@ func (c *Config) N() int {
 	return n
 }
 
-// buildTopology constructs the fabric described by the configuration.
-func (c *Config) buildTopology() (*topology.Network, error) {
-	switch c.Topology {
+// fabricKey names a fabric by exactly the configuration fields that define
+// it: Arity and Stages for a k-ary tree, Tree for an irregular one.
+type fabricKey struct {
+	kind          TopologyKind
+	arity, stages int
+	tree          topology.TreeSpec
+}
+
+func (c *Config) fabricKey() fabricKey {
+	if c.Topology == IrregularTree {
+		return fabricKey{kind: IrregularTree, tree: c.Tree}
+	}
+	return fabricKey{kind: c.Topology, arity: c.Arity, stages: c.Stages}
+}
+
+// build constructs the fabric the key names.
+func (k fabricKey) build() (*topology.Network, error) {
+	switch k.kind {
 	case KaryTree:
-		if c.Arity < 2 || c.Stages < 1 {
+		if k.arity < 2 || k.stages < 1 {
 			return nil, fmt.Errorf("core: Arity must be >= 2 and Stages >= 1")
 		}
-		return topology.NewKaryTree(c.Arity, c.Stages)
+		return topology.NewKaryTree(k.arity, k.stages)
 	case IrregularTree:
-		return topology.NewRandomTree(c.Tree)
+		return topology.NewRandomTree(k.tree)
 	default:
-		return nil, fmt.Errorf("core: unknown topology kind %d", c.Topology)
+		return nil, fmt.Errorf("core: unknown topology kind %d", k.kind)
 	}
+}
+
+// maxFabrics bounds the fabrics the process keeps built.
+const maxFabrics = 16
+
+// fabrics memoizes built fabrics, least recently used first. A fabric is
+// immutable once built, so every simulator and every canonicalization of
+// one shape reads the same instance.
+var fabrics struct {
+	sync.Mutex
+	lru []fabricEntry
+}
+
+type fabricEntry struct {
+	key fabricKey
+	net *topology.Network
+}
+
+// buildTopology returns the fabric the configuration describes, shared with
+// every configuration of its shape: it is built on first use and kept while
+// it is among the maxFabrics most recently used. Under the mdworm_oracle
+// build tag every call builds a fresh one.
+func (c *Config) buildTopology() (*topology.Network, error) {
+	key := c.fabricKey()
+	if !shareFabrics {
+		return key.build()
+	}
+	fabrics.Lock()
+	defer fabrics.Unlock()
+	for i, e := range fabrics.lru {
+		if e.key == key {
+			fabrics.lru = append(slices.Delete(fabrics.lru, i, i+1), e)
+			return e.net, nil
+		}
+	}
+	net, err := key.build()
+	if err != nil {
+		return nil, err
+	}
+	if len(fabrics.lru) == maxFabrics {
+		fabrics.lru = slices.Delete(fabrics.lru, 0, 1)
+	}
+	fabrics.lru = append(fabrics.lru, fabricEntry{key, net})
+	return net, nil
 }
 
 // headerFlitsFor returns the header size of a message class on the given
@@ -221,6 +282,10 @@ func (c *Config) normalize(net *topology.Network) (sched collective.Schedule, er
 	if c.FlitBits < 1 || c.FlitBits > 64 {
 		return sched, fmt.Errorf("core: FlitBits must be in [1,64]")
 	}
+	// Only the fields of its topology kind define the fabric, as in its
+	// memo key; zero the others so that they cannot split the result cache.
+	key := c.fabricKey()
+	c.Arity, c.Stages, c.Tree = key.arity, key.stages, key.tree
 	if c.Scheme == collective.HardwareMultiport && !net.Kary {
 		return sched, fmt.Errorf("core: the multiport encoding requires a regular k-ary tree")
 	}

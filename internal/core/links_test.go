@@ -80,25 +80,44 @@ func footprint(t *testing.T, cfg Config) (total, live uint64) {
 
 // TestSimulatorFootprint pins what building a simulator costs: link state
 // is sized by the wire, so a 256-node input-buffer system, whose links each
-// grant 576 credits, is built in a few megabytes. Not parallel: it reads
-// process-wide allocation counters.
+// grant 576 credits, is built in a few megabytes. A system whose fabric
+// shape the process has already built reads the shared fabric instead of
+// building its own. Not parallel: it reads process-wide allocation
+// counters.
 func TestSimulatorFootprint(t *testing.T) {
 	for _, c := range []struct {
+		arch              SwitchArch
 		stages            int
+		warm              bool    // the fabric shape is already built
 		maxTotal, maxLive float64 // MB
 	}{
-		{3, 2, 1},
-		{4, 8, 4},
+		{InputBuffer, 3, false, 2, 1},
+		{InputBuffer, 4, false, 8, 4},
+		{CentralBuffer, 3, true, 0.35, 0.31},
+		{CentralBuffer, 4, true, 1.8, 1.6},
 	} {
 		cfg := DefaultConfig()
-		cfg.Arch = InputBuffer
+		cfg.Arch = c.arch
 		cfg.Stages = c.stages
+		switch {
+		case c.warm && !shareFabrics:
+			t.Logf("%d nodes: skipped, the oracle build shares no fabric", cfg.N())
+			continue
+		case c.warm:
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		default: // the first build of its shape in the process
+			fabrics.Lock()
+			fabrics.lru = nil
+			fabrics.Unlock()
+		}
 		total, live := footprint(t, cfg)
 		totalMB, liveMB := float64(total)/1e6, float64(live)/1e6
-		t.Logf("%d nodes: %.2f MB allocated, %.2f MB live", cfg.N(), totalMB, liveMB)
+		t.Logf("%d nodes %v (warm %v): %.3f MB allocated, %.3f MB live", cfg.N(), c.arch, c.warm, totalMB, liveMB)
 		if totalMB >= c.maxTotal || liveMB >= c.maxLive {
-			t.Errorf("%d nodes: core.New allocated %.2f MB and kept %.2f MB live, want under %g and %g MB",
-				cfg.N(), totalMB, liveMB, c.maxTotal, c.maxLive)
+			t.Errorf("%d nodes %v: core.New allocated %.3f MB and kept %.3f MB live, want under %g and %g MB",
+				cfg.N(), c.arch, totalMB, liveMB, c.maxTotal, c.maxLive)
 		}
 	}
 }

@@ -137,10 +137,20 @@ func (s *Simulator) build(sched collective.Schedule) {
 	rootRNG := engine.NewRNG(cfg.Seed ^ 0xabcdef)
 	s.fac = &factory{cfg: cfg, net: s.net, ids: &s.ids, pool: &s.worms}
 
-	// Per-switch port IO, filled as links are created.
+	// Size the kernel's tables from the fabric: a component per switch, NIC
+	// and driver, a link into each wired port and NIC. Each switch's port IO
+	// and input list is cut from one slab per kind.
+	nports, wired := 0, 0
+	for _, sw := range s.net.Switches {
+		nports += sw.NumPorts()
+		wired += len(sw.DownPorts()) + len(sw.UpPorts())
+	}
+	s.sim.Reserve(len(s.net.Switches)+s.net.N+2, wired+s.net.N)
 	ports := make([][]switches.PortIO, len(s.net.Switches))
+	portSlab := make([]switches.PortIO, nports)
 	for i, sw := range s.net.Switches {
-		ports[i] = make([]switches.PortIO, sw.NumPorts())
+		n := sw.NumPorts()
+		ports[i], portSlab = portSlab[:n:n], portSlab[n:]
 	}
 	s.ports = ports
 
@@ -188,8 +198,7 @@ func (s *Simulator) build(sched collective.Schedule) {
 	// watchdog).
 	if !cfg.Faults.Empty() {
 		s.fdrv = newFaultDriver(s, cfg.Faults)
-		s.sim.AddComponent(s.fdrv)
-		s.sim.DeclareEventDriven(s.fdrv)
+		s.sim.DeclareEventDriven(s.sim.AddComponent(s.fdrv))
 	}
 
 	// Collective driver, event-driven like the fault driver: it sleeps on
@@ -199,13 +208,14 @@ func (s *Simulator) build(sched collective.Schedule) {
 	// restore.
 	if cfg.Collective.Enabled() {
 		s.cdrv = newCollectiveDriver(s, cfg.Collective, sched)
-		s.sim.AddComponent(s.cdrv)
-		s.sim.DeclareEventDriven(s.cdrv)
+		s.cdrv.idx = s.sim.AddComponent(s.cdrv)
+		s.sim.DeclareEventDriven(s.cdrv.idx)
 	}
 
 	// Switches. Declaring the input links makes a switch eligible for
 	// active-set skipping: fully idle switches cost nothing per cycle and
 	// are re-armed by the first flit sent toward them.
+	inSlab := make([]*engine.Link, 0, nports)
 	for _, node := range s.net.Switches {
 		rng := rootRNG.Fork(uint64(node.ID))
 		var sw switches.Switch
@@ -216,14 +226,13 @@ func (s *Simulator) build(sched collective.Schedule) {
 			sw = inputbuf.New(cfg.IB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 		}
 		s.sws = append(s.sws, sw)
-		s.sim.AddComponent(sw)
-		ins := make([]*engine.Link, 0, len(ports[node.ID]))
+		from := len(inSlab)
 		for _, pio := range ports[node.ID] {
 			if pio.In != nil {
-				ins = append(ins, pio.In)
+				inSlab = append(inSlab, pio.In)
 			}
 		}
-		s.sim.DeclareInputs(sw, ins...)
+		s.sim.DeclareInputs(s.sim.AddComponent(sw), inSlab[from:]...)
 	}
 
 	// NICs. The eject link is a NIC's only fabric input; Submit wakes it for
@@ -236,14 +245,16 @@ func (s *Simulator) build(sched collective.Schedule) {
 		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, &s.worms, s.sim, s.fac, s.onDelivered)
 		n.SetOnDrop(s.onWormDrop)
 		s.nics[p] = n
-		s.sim.AddComponent(n)
-		s.sim.DeclareInputs(n, ejects[p])
-		s.sim.DeclareEventDriven(n)
-		s.sim.DeclareOutputs(n, injects[p])
+		i := s.sim.AddComponent(n)
+		n.SetIndex(i)
+		s.sim.DeclareInputs(i, ejects[p:p+1]...)
+		s.sim.DeclareEventDriven(i)
+		s.sim.DeclareOutputs(i, injects[p])
 	}
 }
 
-// Net returns the underlying topology.
+// Net returns the underlying topology. Every simulator of the same fabric
+// shape in the process shares it, so it must not be modified.
 func (s *Simulator) Net() *topology.Network { return s.net }
 
 // SetTracer installs an event tracer (nil removes it). Events cover
@@ -300,8 +311,7 @@ func (s *Simulator) Observe(c *obs.Capture) {
 		// post-step state; its event source is the sampling period, so the
 		// kernel sleeps it between boundaries.
 		probe := &obs.Probe{Every: c.SampleEvery, Source: s, Cap: c}
-		s.sim.AddComponent(probe)
-		s.sim.DeclareEventDriven(probe)
+		s.sim.DeclareEventDriven(s.sim.AddComponent(probe))
 	}
 }
 

@@ -635,8 +635,8 @@ func TestActiveSetSkipsIdle(t *testing.T) {
 	sim := NewSimulation(0)
 	l := sim.NewLink("in", 1, 4)
 	c := &counter{in: l}
-	sim.AddComponent(c)
-	sim.DeclareInputs(c, l)
+	ci := sim.AddComponent(c)
+	sim.DeclareInputs(ci, l)
 
 	if err := sim.Run(10); err != nil {
 		t.Fatal(err)
@@ -661,7 +661,7 @@ func TestActiveSetSkipsIdle(t *testing.T) {
 		t.Fatalf("component never went back to sleep: steps=%d", c.steps)
 	}
 
-	sim.Wake(c)
+	sim.Wake(ci)
 	if err := sim.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -718,10 +718,8 @@ func steadyRing() *Simulation {
 	lb := sim.NewLink("ring-b", 1, 4)
 	r1 := &relay{name: "r1", in: la, out: lb}
 	r2 := &relay{name: "r2", in: lb, out: la}
-	sim.AddComponent(r1)
-	sim.AddComponent(r2)
-	sim.DeclareInputs(r1, la)
-	sim.DeclareInputs(r2, lb)
+	sim.DeclareInputs(sim.AddComponent(r1), la)
+	sim.DeclareInputs(sim.AddComponent(r2), lb)
 	// A single-flit worm keeps the per-link conservation checker satisfied
 	// as the same flit loops forever.
 	la.TrySend(sim.Now, flit.Ref{W: testWorm(1), Idx: 0})

@@ -36,25 +36,25 @@ func (r *recorder) Step(now int64) {
 func TestScheduleWakeAtPastErrors(t *testing.T) {
 	sim := NewSimulation(0)
 	c := &recorder{name: "c"}
-	sim.AddComponent(c)
-	sim.DeclareInputs(c) // sleepable, no links
+	ci := sim.AddComponent(c)
+	sim.DeclareInputs(ci) // sleepable, no links
 	if err := sim.Run(5); err != nil {
 		t.Fatal(err)
 	}
 	// Scheduling at or before the current cycle must error, not silently
 	// reorder time.
-	if err := sim.ScheduleWakeAt(c, sim.Now); err == nil {
+	if err := sim.ScheduleWakeAt(ci, sim.Now); err == nil {
 		t.Fatal("ScheduleWakeAt at the current cycle did not error")
 	}
-	if err := sim.ScheduleWakeAt(c, sim.Now-3); err == nil {
+	if err := sim.ScheduleWakeAt(ci, sim.Now-3); err == nil {
 		t.Fatal("ScheduleWakeAt in the past did not error")
 	}
-	stranger := &recorder{name: "stranger"}
+	stranger := ci + 1 // no component is registered under this index
 	if err := sim.ScheduleWakeAt(stranger, sim.Now+10); err == nil {
 		t.Fatal("ScheduleWakeAt for an unregistered component did not error")
 	}
 	// A legal future wake fires at exactly that cycle.
-	if err := sim.ScheduleWakeAt(c, sim.Now+7); err != nil {
+	if err := sim.ScheduleWakeAt(ci, sim.Now+7); err != nil {
 		t.Fatal(err)
 	}
 	target := sim.Now + 7
@@ -77,8 +77,7 @@ func TestSimultaneousEventsPreserveOrder(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	for i := range comps {
 		comps[i] = &recorder{name: names[i], journal: &journal}
-		sim.AddComponent(comps[i])
-		sim.DeclareInputs(comps[i])
+		sim.DeclareInputs(sim.AddComponent(comps[i])) // registered under index i
 	}
 	if err := sim.Run(3); err != nil { // everyone steps once, then sleeps
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestSimultaneousEventsPreserveOrder(t *testing.T) {
 	// Schedule the same cycle in scrambled order.
 	at := sim.Now + 10
 	for _, i := range []int{2, 0, 3, 1} {
-		if err := sim.ScheduleWakeAt(comps[i], at); err != nil {
+		if err := sim.ScheduleWakeAt(i, at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,14 +113,14 @@ func TestSimultaneousEventsPreserveOrder(t *testing.T) {
 func TestWakeInterleavesWithQueuedEvents(t *testing.T) {
 	sim := NewSimulation(0)
 	c := &recorder{name: "c"}
-	sim.AddComponent(c)
-	sim.DeclareInputs(c)
+	ci := sim.AddComponent(c)
+	sim.DeclareInputs(ci)
 	if err := sim.Run(2); err != nil {
 		t.Fatal(err)
 	}
 	c.cycles = nil
 	eventAt := sim.Now + 30
-	if err := sim.ScheduleWakeAt(c, eventAt); err != nil {
+	if err := sim.ScheduleWakeAt(ci, eventAt); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(5); err != nil { // jumps: event is far away
@@ -131,7 +130,7 @@ func TestWakeInterleavesWithQueuedEvents(t *testing.T) {
 		t.Fatalf("component stepped at %v before any stimulus", c.cycles)
 	}
 	wakeCycle := sim.Now
-	sim.Wake(c)
+	sim.Wake(ci)
 	if err := sim.Run(40); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +155,7 @@ func TestClockJumpsOverIdleSpans(t *testing.T) {
 	sim := NewSimulation(0)
 	l := sim.NewLink("long-haul", 100, 4)
 	c := &recorder{name: "rx", in: l}
-	sim.AddComponent(c)
-	sim.DeclareInputs(c, l)
+	sim.DeclareInputs(sim.AddComponent(c), l)
 	if err := sim.Run(2); err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +206,7 @@ func (tt *timetable) Step(now int64) {
 func TestEventDrivenTimetable(t *testing.T) {
 	sim := NewSimulation(0)
 	tt := &timetable{recorder: recorder{name: "tt"}, deadlines: []int64{13, 14, 500, 2000}}
-	sim.AddComponent(tt)
-	sim.DeclareEventDriven(tt)
+	sim.DeclareEventDriven(sim.AddComponent(tt))
 	if err := sim.Run(3000); err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +227,7 @@ func TestSameCycleDeadlinesPastTheHorizon(t *testing.T) {
 		{recorder: recorder{name: "c"}, deadlines: []int64{1100}},
 	}
 	for _, tt := range tts {
-		sim.AddComponent(tt)
-		sim.DeclareEventDriven(tt)
+		sim.DeclareEventDriven(sim.AddComponent(tt))
 	}
 	if err := sim.Run(2000); err != nil {
 		t.Fatal(err)
@@ -250,8 +246,7 @@ func TestEventSchedulingSteadyStateAllocs(t *testing.T) {
 	sim := NewSimulation(0)
 	l := sim.NewLink("wire", 7, 8)
 	c := &recorder{name: "rx", in: l}
-	sim.AddComponent(c)
-	sim.DeclareInputs(c, l)
+	sim.DeclareInputs(sim.AddComponent(c), l)
 	w := testWorm(1)
 	send := func() {
 		for i := 0; i < 20; i++ {
@@ -278,8 +273,7 @@ func TestSnapshotRoundTripWithPendingEvents(t *testing.T) {
 		sim := NewSimulation(0)
 		l := sim.NewLink("wire", 50, 4)
 		c := &recorder{name: "rx", in: l}
-		sim.AddComponent(c)
-		sim.DeclareInputs(c, l)
+		sim.DeclareInputs(sim.AddComponent(c), l)
 		return sim, l, c
 	}
 	sim, l, _ := build()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"mdworm/internal/flit"
@@ -58,15 +59,16 @@ func (e *DeadlockError) Error() string {
 // flit or credit return pending on a link.
 const noWake = int64(math.MaxInt64)
 
-// compEntry tracks one registered component plus its scheduling state. A
-// component with declared event sources (input links via DeclareInputs, or
-// a timetable via DeclareEventDriven) may be put to sleep — skipped by Step
-// and excluded from clock-jump decisions — once it is quiesced and nothing
-// has arrived for it, or, if it declared a timetable, while it holds work
-// that only waits for its next deadline; a queued wake event, a send on an
-// input link, or an explicit Wake re-arms it. Components that never
-// declared event sources are stepped every cycle, exactly like the
-// pre-event-kernel engine, so ad-hoc harnesses keep their semantics.
+// compEntry tracks one registered component, at the index AddComponent
+// returned for it, plus its scheduling state. A component with declared
+// event sources (input links via DeclareInputs, or a timetable via
+// DeclareEventDriven) may be put to sleep — skipped by Step and excluded
+// from clock-jump decisions — once it is quiesced and nothing has arrived
+// for it, or, if it declared a timetable, while it holds work that only
+// waits for its next deadline; a queued wake event, a send on an input link,
+// or an explicit Wake re-arms it. Components that never declared event
+// sources are stepped every cycle, exactly like the pre-event-kernel engine,
+// so ad-hoc harnesses keep their semantics.
 type compEntry struct {
 	c         Component
 	inputs    []*Link
@@ -81,14 +83,14 @@ type compEntry struct {
 	wakeAt int64
 }
 
-// Simulation owns the clock, the components, and the links. It is a
-// discrete-event kernel: components declare their event sources, sleep when
-// quiesced or when their only work is a countdown to a deadline, and are
-// re-armed by wake events queued in a binary min-heap (link deliveries at
-// now+latency, fault-plan activations, probe deadlines, a NIC's overheads).
-// While any component is awake the clock steps cycle by cycle; when every
-// component sleeps, Run/RunUntil jump the clock straight to the next queued
-// event (or the watchdog deadline, or the budget limit).
+// Simulation owns the clock, the components (named by registration index),
+// and the links. It is a discrete-event kernel: components declare their
+// event sources, sleep when quiesced or when their only work is a countdown
+// to a deadline, and are re-armed by wake events queued in a binary min-heap
+// (link deliveries at now+latency, fault-plan activations, probe deadlines,
+// a NIC's overheads). While any component is awake the clock steps cycle by
+// cycle; when every component sleeps, Run/RunUntil jump the clock straight
+// to the next queued event (or the watchdog deadline, or the budget limit).
 //
 // Because an idle component's Step is required to be a no-op — the model
 // components draw no randomness and mutate no arbitration state while idle —
@@ -104,9 +106,8 @@ type Simulation struct {
 	// DeadlockError (if components still hold work). Zero disables it.
 	WatchdogLimit int64
 
-	comps      []compEntry
-	compIdx    map[Component]int
-	awake      []uint64 // bitmap over comps; set = stepped each cycle
+	comps      []compEntry // indexed by AddComponent's result
+	awake      []uint64    // bitmap over comps; set = stepped each cycle
 	awakeCount int
 	// busySleepers counts sleeping components that hold work.
 	busySleepers int
@@ -133,7 +134,6 @@ type Simulation struct {
 func NewSimulation(watchdogLimit int64) *Simulation {
 	return &Simulation{
 		WatchdogLimit: watchdogLimit,
-		compIdx:       make(map[Component]int),
 		inv:           newInvariants(),
 	}
 }
@@ -142,79 +142,77 @@ func NewSimulation(watchdogLimit int64) *Simulation {
 // report violations through it; drivers read the counters after a run.
 func (s *Simulation) Invariants() *Invariants { return s.inv }
 
-// AddComponent registers a component; it will be stepped each cycle until
-// it declares event sources and quiesces.
-func (s *Simulation) AddComponent(c Component) {
+// AddComponent registers a component and returns its index, counted from 0
+// in registration order, by which the Declare methods, Wake and
+// ScheduleWakeAt name it. It is stepped each cycle until it declares event
+// sources and quiesces.
+func (s *Simulation) AddComponent(c Component) int {
 	i := len(s.comps)
-	s.compIdx[c] = i
 	s.comps = append(s.comps, compEntry{c: c, wakeAt: noWake})
 	if i>>6 >= len(s.awake) {
 		s.awake = append(s.awake, 0)
 	}
 	s.awake[i>>6] |= 1 << uint(i&63)
 	s.awakeCount++
+	return i
 }
 
-// DeclareInputs tells the scheduler which links feed component c, making c
-// eligible for sleeping: while c is quiesced and none of these links holds
-// an arrived flit, Step does not call c; a send on any declared link queues
+// Reserve makes room for the given numbers of further components and links,
+// so that a builder that knows its system's counts registers it without
+// regrowing the component table, the link list or the link slab.
+func (s *Simulation) Reserve(components, links int) {
+	s.comps = slices.Grow(s.comps, components)
+	s.links = slices.Grow(s.links, links)
+	s.linkSlab = make([]Link, links)
+}
+
+// DeclareInputs tells the scheduler which links feed component i, making it
+// eligible for sleeping: while it is quiesced and none of these links holds
+// an arrived flit, Step does not call it; a send on any declared link queues
 // a wake event for the flit's arrival cycle. Callers whose components
 // receive stimulus outside the link fabric (message submission, barrier
-// drivers) must pair this with Wake.
-func (s *Simulation) DeclareInputs(c Component, inputs ...*Link) {
-	i, ok := s.compIdx[c]
-	if !ok {
-		panic("engine: DeclareInputs for unregistered component " + c.Name())
-	}
+// drivers) must pair this with Wake. The component keeps inputs, none of
+// them nil, as its input list, so a caller that passes a slice must not
+// modify it afterwards.
+func (s *Simulation) DeclareInputs(i int, inputs ...*Link) {
 	e := &s.comps[i]
 	e.sleepable = true
+	e.inputs = inputs
 	for _, l := range inputs {
-		if l == nil {
-			continue
-		}
-		e.inputs = append(e.inputs, l)
 		l.sim = s
 		l.recv = int32(i)
 	}
 }
 
-// DeclareEventDriven registers c's timetable as an event source: after each
-// step with nothing arrived for c, the kernel asks its NextWake for the next
-// deadline and sleeps it until then. c must implement NextWaker. May be
-// combined with DeclareInputs; the earlier of link arrival and deadline
-// wins.
+// DeclareEventDriven registers component i's timetable as an event source:
+// after each step with nothing arrived for it, the kernel asks its NextWake
+// for the next deadline and sleeps it until then. The component must
+// implement NextWaker. May be combined with DeclareInputs; the earlier of
+// link arrival and deadline wins.
 //
-// c may then sleep while it holds work, on a deadline only. Its NextWake
-// must report one only when every cycle before it would change nothing of c
-// but a countdown that c charges itself when it next steps, and would call
-// Progress; the kernel counts c as busy and progressing on each such cycle.
+// It may then sleep while it holds work, on a deadline only. Its NextWake
+// must report one only when every cycle before it would change nothing of it
+// but a countdown that it charges itself when it next steps, and would call
+// Progress; the kernel counts it as busy and progressing on each such cycle.
 // Out-of-band stimulus that changes the countdown (a Submit, a stall) must
-// Wake c, and come between cycles or from a component registered before c,
-// so that c sees it on the cycle it happens. Under the mdworm_oracle build
-// tag c is stepped every cycle while it holds work.
-func (s *Simulation) DeclareEventDriven(c Component) {
-	i, ok := s.compIdx[c]
-	if !ok {
-		panic("engine: DeclareEventDriven for unregistered component " + c.Name())
-	}
-	nw, ok := c.(NextWaker)
-	if !ok {
-		panic("engine: DeclareEventDriven component " + c.Name() + " does not implement NextWaker")
-	}
+// Wake it, and come between cycles or from a component registered before
+// it, so that it sees it on the cycle it happens. Under the mdworm_oracle
+// build tag it is stepped every cycle while it holds work.
+func (s *Simulation) DeclareEventDriven(i int) {
 	e := &s.comps[i]
+	nw, ok := e.c.(NextWaker)
+	if !ok {
+		panic("engine: DeclareEventDriven component " + e.c.Name() + " does not implement NextWaker")
+	}
 	e.sleepable = true
 	e.nw = nw
 }
 
-// DeclareOutputs tells the scheduler which links c sends on: a failure of
-// one of them (Link.Fail) wakes c if it sleeps while holding work, so that
-// it sees the failure on the cycle it happens. A component that sleeps only
-// when quiesced need not declare its outputs.
-func (s *Simulation) DeclareOutputs(c Component, outputs ...*Link) {
-	i, ok := s.compIdx[c]
-	if !ok {
-		panic("engine: DeclareOutputs for unregistered component " + c.Name())
-	}
+// DeclareOutputs tells the scheduler which links component i sends on: a
+// failure of one of them (Link.Fail) wakes it if it sleeps while holding
+// work, so that it sees the failure on the cycle it happens. A component
+// that sleeps only when quiesced need not declare its outputs.
+func (s *Simulation) DeclareOutputs(i int, outputs ...*Link) {
 	for _, l := range outputs {
 		if l != nil {
 			l.sim = s
@@ -223,25 +221,24 @@ func (s *Simulation) DeclareOutputs(c Component, outputs ...*Link) {
 	}
 }
 
-// Wake re-arms a sleeping component immediately (it steps on the current
-// cycle), for out-of-band stimulation such as a message submitted to an
-// idle NIC. Unregistered components are ignored.
-func (s *Simulation) Wake(c Component) {
-	if i, ok := s.compIdx[c]; ok {
+// Wake re-arms the sleeping component registered under index i immediately
+// (it steps on the current cycle), for out-of-band stimulation such as a
+// message submitted to an idle NIC. An index no component has is ignored.
+func (s *Simulation) Wake(i int) {
+	if uint(i) < uint(len(s.comps)) {
 		s.wakeIdx(int32(i))
 	}
 }
 
-// ScheduleWakeAt queues a wake event for c at the given future cycle.
-// Scheduling in the past (at <= Now) is an error — the kernel never
-// reorders time — as is an unregistered component.
-func (s *Simulation) ScheduleWakeAt(c Component, at int64) error {
-	i, ok := s.compIdx[c]
-	if !ok {
-		return fmt.Errorf("engine: ScheduleWakeAt for unregistered component %s", c.Name())
+// ScheduleWakeAt queues a wake event for component i at the given future
+// cycle. Scheduling in the past (at <= Now) is an error — the kernel never
+// reorders time — as is an index no component was registered under.
+func (s *Simulation) ScheduleWakeAt(i int, at int64) error {
+	if uint(i) >= uint(len(s.comps)) {
+		return fmt.Errorf("engine: ScheduleWakeAt for unregistered component %d", i)
 	}
 	if at <= s.Now {
-		return fmt.Errorf("engine: ScheduleWakeAt for %s at cycle %d, not after now (%d)", c.Name(), at, s.Now)
+		return fmt.Errorf("engine: ScheduleWakeAt for %s at cycle %d, not after now (%d)", s.comps[i].c.Name(), at, s.Now)
 	}
 	s.scheduleWake(int32(i), at)
 	return nil

@@ -45,9 +45,9 @@ func (c *countdown) NextWake(now int64) (int64, bool) { return c.due, c.due > no
 func countdownSim(sleep, stranded, stuck bool) (*Simulation, *countdown) {
 	sim := NewSimulation(50)
 	c := &countdown{sim: sim, due: 500, last: -1}
-	sim.AddComponent(c)
+	i := sim.AddComponent(c)
 	if sleep {
-		sim.DeclareEventDriven(c)
+		sim.DeclareEventDriven(i)
 	}
 	if stuck {
 		sim.AddComponent(stuckComponent{})

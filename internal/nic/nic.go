@@ -87,6 +87,7 @@ type NIC struct {
 	ids     *engine.IDGen
 	worms   *flit.WormArena // the simulation's pool; nil when standalone
 	sim     *engine.Simulation
+	idx     int // component index in sim, -1 until SetIndex
 	factory collective.MessageFactory
 	onDelv  DeliveredFunc
 
@@ -129,10 +130,15 @@ func New(cfg Config, proc, n int, inject, eject *engine.Link,
 		ids:     ids,
 		worms:   worms,
 		sim:     sim,
+		idx:     -1,
 		factory: factory,
 		onDelv:  onDelivered,
 	}
 }
+
+// SetIndex records the NIC's component index in sim, which Submit and
+// StallUntil wake; a NIC without one must be stepped every cycle.
+func (nc *NIC) SetIndex(i int) { nc.idx = i }
 
 // Proc returns the processor id this NIC serves.
 func (nc *NIC) Proc() int { return nc.proc }
@@ -146,7 +152,7 @@ func (nc *NIC) StallUntil(cycle int64) {
 		nc.settle(nc.sim.Now)
 		nc.stallUntil = cycle
 		if !nc.Quiesced() {
-			nc.sim.Wake(nc)
+			nc.sim.Wake(nc.idx)
 		}
 	}
 }
@@ -192,7 +198,7 @@ func (nc *NIC) queued() {
 	if len(nc.sendQ) > nc.stats.SendQueueMax {
 		nc.stats.SendQueueMax = len(nc.sendQ)
 	}
-	nc.sim.Wake(nc)
+	nc.sim.Wake(nc.idx)
 }
 
 // Quiesced reports whether the NIC holds no pending or in-flight work.

@@ -34,10 +34,12 @@ type sleepEnv struct {
 func newSleepEnv(t *testing.T, sleep bool) *sleepEnv {
 	e := &sleepEnv{env: newEnv(t, Config{SendOverhead: 40, RecvOverhead: 30, RecvFIFOFlits: 16})}
 	if sleep {
-		e.sim.DeclareInputs(e.nic, e.eject)
-		e.sim.DeclareEventDriven(e.nic)
-		e.sim.DeclareOutputs(e.nic, e.inject)
-		e.sim.DeclareInputs(e.out, e.inject)
+		const nicIdx, outIdx = 0, 1 // newEnv registers the NIC, then the wire
+		e.nic.SetIndex(nicIdx)
+		e.sim.DeclareInputs(nicIdx, e.eject)
+		e.sim.DeclareEventDriven(nicIdx)
+		e.sim.DeclareOutputs(nicIdx, e.inject)
+		e.sim.DeclareInputs(outIdx, e.inject)
 	}
 	e.nic.SetOnDrop(func(m *flit.Message, n int, now int64) {
 		e.drops = append(e.drops, fmt.Sprintf("msg%d/%d@%d", m.ID, n, now))

@@ -3,6 +3,10 @@ package service
 import (
 	"encoding/json"
 	"testing"
+
+	"mdworm/internal/collective"
+	"mdworm/internal/core"
+	"mdworm/internal/topology"
 )
 
 // hashOf decodes a ConfigRequest JSON body, resolves it, and hashes it.
@@ -134,5 +138,82 @@ func TestResolveLoadOpRate(t *testing.T) {
 	}
 	if hashOf(t, `{"load":0.1,"mcast_len":32}`) == hashOf(t, `{"load":0.1}`) {
 		t.Fatal("payload length ignored by load conversion")
+	}
+}
+
+// Topology fields a kind ignores must not reach the content address: an
+// irregular request that also sends arity and stages, and a k-ary config
+// that carries a tree spec, describe the systems without them.
+func TestHashIgnoresUnusedTopologyFields(t *testing.T) {
+	const tree = `"tree":{"switches":6,"min_hosts":1,"max_hosts":3,"max_children":2,"seed":5}`
+	if a, b := hashOf(t, `{`+tree+`}`), hashOf(t, `{`+tree+`,"arity":2,"stages":5}`); a != b {
+		t.Errorf("arity and stages split the hash of an irregular tree: %s vs %s", a, b)
+	}
+	kary := core.DefaultConfig()
+	stray := kary
+	stray.Tree = topology.TreeSpec{Switches: 6, MinHosts: 1, MaxHosts: 3, MaxChildren: 2, Seed: 5}
+	a, _, err := Hash(kary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Hash(stray)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("a tree spec split the hash of a k-ary tree: %s vs %s", a, b)
+	}
+}
+
+// A Hash of a config whose fabric shape the process has already built reads
+// the shared fabric, so it costs little more than its encoding.
+func TestHashWarmAllocs(t *testing.T) {
+	if oracleBuild {
+		t.Skip("the oracle build gives every canonicalization a fresh fabric")
+	}
+	cfg := core.DefaultConfig()
+	if _, _, err := Hash(cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := Hash(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("a warm Hash of a 64-node config makes %.0f allocations, want at most 8", allocs)
+	}
+}
+
+// BenchmarkHash times the content address of a config whose fabric shape
+// the process has already built: 64- and 256-node k-ary trees, and a
+// 64-node barrier, whose collective schedule is built on every call.
+func BenchmarkHash(b *testing.B) {
+	barrier := core.DefaultConfig()
+	barrier.Traffic.OpRate = 0
+	barrier.Collective = collective.Spec{Kind: collective.Barrier, Reps: 4}
+	deep := core.DefaultConfig()
+	deep.Stages = 4
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"nodes-64", core.DefaultConfig()},
+		{"nodes-256", deep},
+		{"barrier-nodes-64", barrier},
+	} {
+		cfg := c.cfg
+		b.Run(c.name, func(b *testing.B) {
+			if _, _, err := Hash(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Hash(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
