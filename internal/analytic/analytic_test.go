@@ -93,7 +93,7 @@ func TestModelTracksSoftwareBinomial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < draws; i++ {
-			dests := rng.Sample(cfg.N(), d, 0, new([]int))
+			dests := rng.Sample(nil, cfg.N(), d, 0, new([]int))
 			lat, _, err := simr.RunOp(0, dests, true, 64, 2_000_000)
 			if err != nil {
 				t.Fatal(err)

@@ -465,15 +465,17 @@ func (c *Coordinator) runLocal(hash string, canon core.Config) (shardResult, err
 		return shardResult{}, err
 	}
 	res, err := sim.Run()
+	cycles := sim.Now()
+	core.Release(sim)
 	if err != nil {
 		return shardResult{}, err
 	}
 	body, err := json.Marshal(service.RunResponse{Hash: hash, Config: canon,
-		Results: res, SimulatedCycles: sim.Now()})
+		Results: res, SimulatedCycles: cycles})
 	if err != nil {
 		return shardResult{}, err
 	}
-	return shardResult{body: body, res: res, cycles: sim.Now()}, nil
+	return shardResult{body: body, res: res, cycles: cycles}, nil
 }
 
 // dispatchTimeout bounds one attempt's POST /v1/run round trip.

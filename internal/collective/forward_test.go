@@ -47,7 +47,7 @@ func TestForwardPlanMatchesSliceSends(t *testing.T) {
 	rng := engine.NewRNG(21)
 	fac := &fakeFactory{}
 	for trial := 0; trial < 500; trial++ {
-		members := rng.Sample(128, rng.Intn(64)+1, 0, new([]int))
+		members := rng.Sample(nil, 128, rng.Intn(64)+1, 0, new([]int))
 		src, dests := members[0], members[1:]
 		sorted := append([]int(nil), dests...)
 		sort.Ints(sorted)

@@ -243,7 +243,7 @@ func TestMulticastKindMatchesRunOp(t *testing.T) {
 	msgs := 0
 	for range reps {
 		src := draw.Intn(cfg.N())
-		dests := draw.Sample(cfg.N(), cfg.Traffic.Degree, src, &pool)
+		dests := draw.Sample(nil, cfg.N(), cfg.Traffic.Degree, src, &pool)
 		lat, op, err := ops.RunOp(src, dests, true, cfg.Traffic.McastPayloadFlits, 1_000_000)
 		if err != nil {
 			t.Fatal(err)

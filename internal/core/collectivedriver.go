@@ -160,7 +160,7 @@ func multicastDraws(seed uint64) *engine.RNG { return engine.NewRNG(seed ^ 0x5ee
 func (d *collectiveDriver) redraw() {
 	st := &d.sched.Steps[0]
 	st.Src = d.draw.Intn(d.spec.Participants)
-	st.Dests = d.draw.Sample(d.spec.Participants, d.s.cfg.Traffic.Degree, st.Src, &d.pool)
+	st.Dests = d.draw.Sample(nil, d.spec.Participants, d.s.cfg.Traffic.Degree, st.Src, &d.pool)
 }
 
 // beginRep resets per-rep state; entry steps (no dependencies) become ready

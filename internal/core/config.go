@@ -5,6 +5,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -202,15 +203,64 @@ const maxFabrics = 16
 
 // fabrics memoizes built fabrics, least recently used first. A fabric is
 // immutable once built, so every simulator and every canonicalization of
-// one shape reads the same instance.
+// one shape reads the same instance. Each entry also holds the released
+// simulators of its fabric, per architecture, that New builds into.
 var fabrics struct {
 	sync.Mutex
 	lru []fabricEntry
 }
 
 type fabricEntry struct {
-	key fabricKey
-	net *topology.Network
+	key    fabricKey
+	net    *topology.Network
+	parked [2][]*Simulator // by SwitchArch
+}
+
+// parking returns the parked simulators of fabric net under key and
+// architecture arch, or nil when the memo no longer holds net. The caller
+// holds the memo's lock.
+func parking(key fabricKey, net *topology.Network, arch SwitchArch) *[]*Simulator {
+	for i := range fabrics.lru {
+		if e := &fabrics.lru[i]; e.key == key && e.net == net {
+			return &e.parked[arch]
+		}
+	}
+	return nil
+}
+
+// takeParked returns a released simulator of fabric net and architecture
+// arch for New to build into, or nil when none is parked.
+func takeParked(key fabricKey, net *topology.Network, arch SwitchArch) *Simulator {
+	fabrics.Lock()
+	defer fabrics.Unlock()
+	if p := parking(key, net, arch); p != nil && len(*p) > 0 {
+		s := (*p)[len(*p)-1]
+		*p = slices.Delete(*p, len(*p)-1, len(*p))
+		return s
+	}
+	return nil
+}
+
+// Release parks a simulator its caller has finished with, so that a later
+// New of the same fabric and architecture builds into its storage. Nothing
+// may use s afterwards, and releasing it twice panics. At most GOMAXPROCS
+// simulators park per fabric and architecture; evicting the fabric from the
+// memo drops them. Under the mdworm_oracle build tag nothing parks, and s is
+// poisoned: it has no kernel, so running it or reading its clock panics.
+func Release(s *Simulator) {
+	if s.released {
+		panic("core: simulator released twice")
+	}
+	if !reuse {
+		*s = Simulator{released: true}
+		return
+	}
+	s.released = true
+	fabrics.Lock()
+	defer fabrics.Unlock()
+	if p := parking(s.cfg.fabricKey(), s.net, s.cfg.Arch); p != nil && len(*p) < runtime.GOMAXPROCS(0) {
+		*p = append(*p, s)
+	}
 }
 
 // buildTopology returns the fabric the configuration describes, shared with
@@ -219,7 +269,7 @@ type fabricEntry struct {
 // build tag every call builds a fresh one.
 func (c *Config) buildTopology() (*topology.Network, error) {
 	key := c.fabricKey()
-	if !shareFabrics {
+	if !reuse {
 		return key.build()
 	}
 	fabrics.Lock()
@@ -237,7 +287,7 @@ func (c *Config) buildTopology() (*topology.Network, error) {
 	if len(fabrics.lru) == maxFabrics {
 		fabrics.lru = slices.Delete(fabrics.lru, 0, 1)
 	}
-	fabrics.lru = append(fabrics.lru, fabricEntry{key, net})
+	fabrics.lru = append(fabrics.lru, fabricEntry{key: key, net: net})
 	return net, nil
 }
 

@@ -39,7 +39,7 @@ func netOf(t *testing.T, cfg Config) *topology.Network {
 // one topology, whatever else they set, and that Canonicalize reads and
 // fills the same memo New does; another shape gets its own.
 func TestFabricsShared(t *testing.T) {
-	if !shareFabrics {
+	if !reuse {
 		t.Skip("the oracle build gives every simulator a fresh fabric")
 	}
 	// Canonicalize of a shape no other test builds puts it in the memo,
@@ -93,7 +93,7 @@ func TestFabricsShared(t *testing.T) {
 // memo stays at its bound, drops the least recently used shape, and still
 // shares the most recent one.
 func TestFabricMemoBound(t *testing.T) {
-	if !shareFabrics {
+	if !reuse {
 		t.Skip("the oracle build keeps no fabrics")
 	}
 	build := func(cfg Config) *topology.Network {
@@ -202,7 +202,7 @@ func TestSharedFabricsStayUnchanged(t *testing.T) {
 	fabrics.Lock()
 	held := append([]fabricEntry(nil), fabrics.lru...)
 	fabrics.Unlock()
-	if shareFabrics && len(held) == 0 {
+	if reuse && len(held) == 0 {
 		t.Fatal("no fabric is shared")
 	}
 	for _, e := range held {
@@ -217,22 +217,34 @@ func TestSharedFabricsStayUnchanged(t *testing.T) {
 }
 
 // BenchmarkNew times building a central-buffer bit-string simulator on a
-// fabric shape the process has already built.
+// fabric shape the process has already built, into new storage and, as the
+// recycled cases, into the storage of the simulator the last op released.
 func BenchmarkNew(b *testing.B) {
-	for _, stages := range []int{3, 4} {
-		cfg := DefaultConfig()
-		cfg.Stages = stages
-		b.Run(fmt.Sprintf("nodes-%d", cfg.N()), func(b *testing.B) {
-			if _, err := New(cfg); err != nil {
-				b.Fatal(err)
+	for _, recycled := range []bool{false, true} {
+		for _, stages := range []int{3, 4} {
+			cfg := DefaultConfig()
+			cfg.Stages = stages
+			name := fmt.Sprintf("nodes-%d", cfg.N())
+			if recycled {
+				name += "-recycled"
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			b.Run(name, func(b *testing.B) {
+				dropParked()
 				if _, err := New(cfg); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sim, err := New(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if recycled {
+						Release(sim)
+					}
+				}
+			})
+		}
 	}
 }

@@ -82,39 +82,52 @@ func footprint(t *testing.T, cfg Config) (total, live uint64) {
 // is sized by the wire, so a 256-node input-buffer system, whose links each
 // grant 576 credits, is built in a few megabytes. A system whose fabric
 // shape the process has already built reads the shared fabric instead of
-// building its own. Not parallel: it reads process-wide allocation
-// counters.
+// building its own, and one rebuilt from a released simulator of its fabric
+// and architecture allocates a small fraction of a new build. Not
+// parallel: it reads process-wide allocation counters.
 func TestSimulatorFootprint(t *testing.T) {
+	const (
+		first    = iota // the first build of its shape in the process
+		warm            // the fabric shape is already built
+		recycled        // a released simulator of the fabric is parked
+	)
 	for _, c := range []struct {
 		arch              SwitchArch
 		stages            int
-		warm              bool    // the fabric shape is already built
+		build             int
 		maxTotal, maxLive float64 // MB
 	}{
-		{InputBuffer, 3, false, 2, 1},
-		{InputBuffer, 4, false, 8, 4},
-		{CentralBuffer, 3, true, 0.35, 0.31},
-		{CentralBuffer, 4, true, 1.8, 1.6},
+		{InputBuffer, 3, first, 2, 1},
+		{InputBuffer, 4, first, 8, 4},
+		{CentralBuffer, 3, warm, 0.35, 0.31},
+		{CentralBuffer, 4, warm, 1.8, 1.6},
+		{CentralBuffer, 3, recycled, 0.015, 0.015},
+		{CentralBuffer, 4, recycled, 0.075, 0.075},
 	} {
 		cfg := DefaultConfig()
 		cfg.Arch = c.arch
 		cfg.Stages = c.stages
 		switch {
-		case c.warm && !shareFabrics:
-			t.Logf("%d nodes: skipped, the oracle build shares no fabric", cfg.N())
+		case c.build != first && !reuse:
+			t.Logf("%d nodes: skipped, the oracle build shares no fabric and recycles no simulator", cfg.N())
 			continue
-		case c.warm:
-			if _, err := New(cfg); err != nil {
+		case c.build == first:
+			fabrics.Lock()
+			fabrics.lru = nil // drops the parked simulators too
+			fabrics.Unlock()
+		default:
+			dropParked()
+			sim, err := New(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		default: // the first build of its shape in the process
-			fabrics.Lock()
-			fabrics.lru = nil
-			fabrics.Unlock()
+			if c.build == recycled {
+				Release(sim)
+			}
 		}
 		total, live := footprint(t, cfg)
 		totalMB, liveMB := float64(total)/1e6, float64(live)/1e6
-		t.Logf("%d nodes %v (warm %v): %.3f MB allocated, %.3f MB live", cfg.N(), c.arch, c.warm, totalMB, liveMB)
+		t.Logf("%d nodes %v (build %d): %.3f MB allocated, %.3f MB live", cfg.N(), c.arch, c.build, totalMB, liveMB)
 		if totalMB >= c.maxTotal || liveMB >= c.maxLive {
 			t.Errorf("%d nodes %v: core.New allocated %.3f MB and kept %.3f MB live, want under %g and %g MB",
 				cfg.N(), c.arch, totalMB, liveMB, c.maxTotal, c.maxLive)

@@ -2,7 +2,7 @@
 
 package core
 
-// shareFabrics is false under the mdworm_oracle build tag: every simulator
-// and canonicalization builds a fresh fabric, so the suite's output under
-// the tag checks that sharing one changes no result.
-const shareFabrics = false
+// reuse is false under the mdworm_oracle build tag: every simulator builds a
+// fresh fabric into new storage, so the suite's output under the tag checks
+// that sharing fabrics and recycling simulators change no result.
+const reuse = false

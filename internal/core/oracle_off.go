@@ -2,6 +2,6 @@
 
 package core
 
-// shareFabrics reports whether configurations of one shape share one built
-// fabric (see buildTopology); the mdworm_oracle build tag turns it off.
-const shareFabrics = true
+// reuse reports whether fabrics are shared (see buildTopology) and released
+// simulators rebuilt (see Release); the mdworm_oracle build tag turns it off.
+const reuse = true

@@ -31,6 +31,7 @@ func TestWormPoolStopsCarving(t *testing.T) {
 			cfg.Arch, cfg.Scheme = c.arch, c.scheme
 			cfg.MeasureCycles = end - cfg.WarmupCycles
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(0.5)
+			dropParked() // a recycled pool may never need to carve
 			sim, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -79,6 +80,7 @@ func TestMessageAndOpPoolsStopCarving(t *testing.T) {
 			cfg.Arch, cfg.Scheme = c.arch, c.scheme
 			cfg.MeasureCycles = end - cfg.WarmupCycles
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(0.2)
+			dropParked() // a recycled pool may never need to carve
 			sim, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -22,21 +22,27 @@ type Simulator struct {
 	cfg    Config
 	net    *topology.Network
 	sim    *engine.Simulation
-	router *routing.Router
+	router routing.Router
 	nics   []*nic.NIC
 	sws    []switches.Switch // one per topology switch, in switch-ID order
 	gen    *traffic.Generator
 	col    stats.Collector
 	ids    engine.IDGen
 	worms  flit.WormArena // the only pool of worms, messages and ops; every switch and NIC shares it
-	fac    *factory       // built once; every NIC and inject shares it
+	fac    factory        // every NIC and inject shares it
 	// planned is inject's scratch for a multicast's messages, emptied once
 	// they are submitted: derived state, never serialized.
 	planned []*flit.Message
 
-	// ports holds each switch's per-port link pair; the fault driver uses
-	// it to fail or stall specific links at their scheduled cycles.
-	ports [][]switches.PortIO
+	// ports holds each switch's per-port link pair, cut from portSlab; the
+	// fault driver uses it to fail or stall specific links at their
+	// scheduled cycles. inSlab holds the components' input lists.
+	ports    [][]switches.PortIO
+	portSlab []switches.PortIO
+	inSlab   []*engine.Link
+	names    []string // every link's name, in creation order
+
+	released bool // Release has parked or dropped the simulator
 
 	outstanding int // ops not yet fully delivered
 	genOn       bool
@@ -89,7 +95,8 @@ func (f *factory) NewMessage(src int, dests []int, class flit.Class, payload int
 }
 
 // New builds a simulator from the configuration (normalizing buffer sizes to
-// fit the workload on the built fabric).
+// fit the workload on the built fabric), into a parked released simulator of
+// the same fabric and architecture when there is one (see Release).
 func New(cfg Config) (*Simulator, error) {
 	net, err := cfg.buildTopology()
 	if err != nil {
@@ -99,26 +106,11 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		cfg: cfg,
-		net: net,
-		sim: engine.NewSimulation(cfg.WatchdogLimit),
-		router: &routing.Router{
-			Net:               net,
-			ReplicateOnUpPath: cfg.ReplicateOnUpPath,
-			Policy:            cfg.UpPolicy,
-		},
+	s := takeParked(cfg.fabricKey(), net, cfg.Arch)
+	if s == nil {
+		s = new(Simulator)
 	}
-	s.sim.Invariants().Strict = cfg.StrictInvariants
-	s.router.OnDrop = s.onWormDrop
-	if cfg.Traffic.OpRate > 0 {
-		g, err := traffic.NewGenerator(cfg.Traffic, net.N, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		s.gen = g
-	}
-	s.build(sched)
+	s.build(cfg, net, sched)
 	return s, nil
 }
 
@@ -130,45 +122,64 @@ func (s *Simulator) switchCredits() int {
 	return s.cfg.IB.BufFlits
 }
 
-// build instantiates links, switches, and NICs, and the driver of the
-// collective schedule sched when the configuration enables one.
-func (s *Simulator) build(sched collective.Schedule) {
-	cfg := &s.cfg
+// build wires the system cfg describes on net into s, new or a released
+// simulator of the same fabric and architecture: links, switches, and NICs,
+// and the driver of the collective schedule sched when the configuration
+// enables one. It keeps only the storage it names; the rest starts at zero.
+func (s *Simulator) build(cfg Config, net *topology.Network, sched collective.Schedule) {
+	old := *s
+	*s = Simulator{cfg: cfg, net: net, sim: old.sim, worms: old.worms, col: old.col,
+		planned: old.planned, names: old.names}
+	if s.sim == nil {
+		s.sim = new(engine.Simulation)
+	}
+	s.col.Reset()
+	s.router = routing.Router{Net: net, ReplicateOnUpPath: cfg.ReplicateOnUpPath, Policy: cfg.UpPolicy,
+		OnDrop: s.onWormDrop}
+	if cfg.Traffic.OpRate > 0 { // normalize validated the spec
+		if s.gen = old.gen; s.gen == nil {
+			s.gen = new(traffic.Generator)
+		}
+		s.gen.Reset(cfg.Traffic, net.N, cfg.Seed)
+	}
 	rootRNG := engine.NewRNG(cfg.Seed ^ 0xabcdef)
-	s.fac = &factory{cfg: cfg, net: s.net, ids: &s.ids, pool: &s.worms}
+	s.fac = factory{cfg: &s.cfg, net: net, ids: &s.ids, pool: &s.worms}
 
 	// Size the kernel's tables from the fabric: a component per switch, NIC
 	// and driver, a link into each wired port and NIC. Each switch's port IO
-	// and input list is cut from one slab per kind.
+	// and each component's input list is cut from one slab per kind.
 	nports, wired := 0, 0
-	for _, sw := range s.net.Switches {
+	for _, sw := range net.Switches {
 		nports += sw.NumPorts()
 		wired += len(sw.DownPorts()) + len(sw.UpPorts())
 	}
-	s.sim.Reserve(len(s.net.Switches)+s.net.N+2, wired+s.net.N)
-	ports := make([][]switches.PortIO, len(s.net.Switches))
-	portSlab := make([]switches.PortIO, nports)
-	for i, sw := range s.net.Switches {
+	s.sim.Reset(cfg.WatchdogLimit, len(net.Switches)+net.N+2, wired+net.N)
+	s.sim.Invariants().Strict = cfg.StrictInvariants
+	s.ports = engine.Reuse(old.ports, len(net.Switches))
+	s.portSlab = engine.Reuse(old.portSlab, nports)
+	clear(s.portSlab)
+	portSlab := s.portSlab
+	for i, sw := range net.Switches {
 		n := sw.NumPorts()
-		ports[i], portSlab = portSlab[:n:n], portSlab[n:]
+		s.ports[i], portSlab = portSlab[:n:n], portSlab[n:]
 	}
-	s.ports = ports
+	ports := s.ports
 
 	// Inter-switch links: one pair per wired connection; create when
 	// scanning the down-port side so each connection is built once.
-	for _, sw := range s.net.Switches {
+	for _, sw := range net.Switches {
 		for pn := range sw.Ports {
 			pt := &sw.Ports[pn]
 			if pt.PeerSwitch < 0 || pt.Kind != topology.Down {
 				continue
 			}
-			peer := s.net.Switches[pt.PeerSwitch]
-			down := s.sim.NewLink(
-				fmt.Sprintf("sw%d.p%d->sw%d.p%d", sw.ID, pn, peer.ID, pt.PeerPort),
-				cfg.LinkLatency, s.switchCredits())
-			up := s.sim.NewLink(
-				fmt.Sprintf("sw%d.p%d->sw%d.p%d", peer.ID, pt.PeerPort, sw.ID, pn),
-				cfg.LinkLatency, s.switchCredits())
+			peer := net.Switches[pt.PeerSwitch]
+			down := s.link(s.switchCredits(), func() string {
+				return fmt.Sprintf("sw%d.p%d->sw%d.p%d", sw.ID, pn, peer.ID, pt.PeerPort)
+			})
+			up := s.link(s.switchCredits(), func() string {
+				return fmt.Sprintf("sw%d.p%d->sw%d.p%d", peer.ID, pt.PeerPort, sw.ID, pn)
+			})
 			ports[sw.ID][pn].Out = down
 			ports[peer.ID][pt.PeerPort].In = down
 			ports[peer.ID][pt.PeerPort].Out = up
@@ -176,19 +187,15 @@ func (s *Simulator) build(sched collective.Schedule) {
 		}
 	}
 
-	// NIC attachment links.
-	injects := make([]*engine.Link, s.net.N)
-	ejects := make([]*engine.Link, s.net.N)
-	for p := 0; p < s.net.N; p++ {
-		swID, pn := s.net.ProcAttach(p)
-		inj := s.sim.NewLink(fmt.Sprintf("nic%d->sw%d.p%d", p, swID, pn),
-			cfg.LinkLatency, s.switchCredits())
-		ej := s.sim.NewLink(fmt.Sprintf("sw%d.p%d->nic%d", swID, pn, p),
-			cfg.LinkLatency, cfg.NIC.RecvFIFOFlits)
-		ports[swID][pn].In = inj
-		ports[swID][pn].Out = ej
-		injects[p] = inj
-		ejects[p] = ej
+	// NIC attachment links: a NIC injects into its port's In.
+	for p := 0; p < net.N; p++ {
+		swID, pn := net.ProcAttach(p)
+		ports[swID][pn].In = s.link(s.switchCredits(), func() string {
+			return fmt.Sprintf("nic%d->sw%d.p%d", p, swID, pn)
+		})
+		ports[swID][pn].Out = s.link(cfg.NIC.RecvFIFOFlits, func() string {
+			return fmt.Sprintf("sw%d.p%d->nic%d", swID, pn, p)
+		})
 	}
 
 	// Fault driver, registered before the switches so every injected fault
@@ -215,24 +222,23 @@ func (s *Simulator) build(sched collective.Schedule) {
 	// Switches. Declaring the input links makes a switch eligible for
 	// active-set skipping: fully idle switches cost nothing per cycle and
 	// are re-armed by the first flit sent toward them.
-	inSlab := make([]*engine.Link, 0, nports)
-	for _, node := range s.net.Switches {
+	inSlab := engine.Reuse(old.inSlab, nports+net.N)[:0]
+	s.sws = engine.Reuse(old.sws, len(net.Switches))
+	for _, node := range net.Switches {
 		rng := rootRNG.Fork(uint64(node.ID))
-		var sw switches.Switch
 		switch cfg.Arch {
 		case CentralBuffer:
-			sw = centralbuf.New(cfg.CB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
+			switchAt[centralbuf.Switch](&s.sws[node.ID]).Reset(cfg.CB, node, &s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 		case InputBuffer:
-			sw = inputbuf.New(cfg.IB, node, s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
+			switchAt[inputbuf.Switch](&s.sws[node.ID]).Reset(cfg.IB, node, &s.router, ports[node.ID], rng, &s.ids, &s.worms, s.sim)
 		}
-		s.sws = append(s.sws, sw)
 		from := len(inSlab)
 		for _, pio := range ports[node.ID] {
 			if pio.In != nil {
 				inSlab = append(inSlab, pio.In)
 			}
 		}
-		s.sim.DeclareInputs(s.sim.AddComponent(sw), inSlab[from:]...)
+		s.sim.DeclareInputs(s.sim.AddComponent(s.sws[node.ID]), inSlab[from:]...)
 	}
 
 	// NICs. The eject link is a NIC's only fabric input; Submit wakes it for
@@ -240,17 +246,49 @@ func (s *Simulator) build(sched collective.Schedule) {
 	// sleeps while it only counts down; a failure of its inject link wakes
 	// it. The fault and collective drivers, which stall it and submit to it,
 	// are registered before it, as deadline sleep requires.
-	s.nics = make([]*nic.NIC, s.net.N)
-	for p := 0; p < s.net.N; p++ {
-		n := nic.New(cfg.NIC, p, s.net.N, injects[p], ejects[p], &s.ids, &s.worms, s.sim, s.fac, s.onDelivered)
-		n.SetOnDrop(s.onWormDrop)
-		s.nics[p] = n
+	s.nics = engine.Reuse(old.nics, net.N)
+	delivered := s.onDelivered
+	for p := range s.nics {
+		if s.nics[p] == nil {
+			s.nics[p] = new(nic.NIC)
+		}
+		n := s.nics[p]
+		swID, pn := net.ProcAttach(p)
+		io := ports[swID][pn]
+		n.Reset(cfg.NIC, p, net.N, io.In, io.Out, &s.ids, &s.worms, s.sim, &s.fac, delivered)
+		n.SetOnDrop(s.router.OnDrop)
 		i := s.sim.AddComponent(n)
 		n.SetIndex(i)
-		s.sim.DeclareInputs(i, ejects[p:p+1]...)
+		inSlab = append(inSlab, io.Out)
+		s.sim.DeclareInputs(i, inSlab[len(inSlab)-1:]...)
 		s.sim.DeclareEventDriven(i)
-		s.sim.DeclareOutputs(i, injects[p])
+		s.sim.DeclareOutputs(i, io.In)
 	}
+	s.inSlab = inSlab
+}
+
+// switchAt returns the switch *sw holds when it is a *T, else a new T that
+// it stores there: a rebuild resets the switch a released simulator built.
+func switchAt[T any, P interface {
+	*T
+	switches.Switch
+}](sw *switches.Switch) P {
+	t, ok := (*sw).(P)
+	if !ok {
+		t = new(T)
+		*sw = t
+	}
+	return t
+}
+
+// link creates the build's next link, naming it on the first build into
+// this storage only: a rebuild wires the same fabric in the same order.
+func (s *Simulator) link(credits int, name func() string) *engine.Link {
+	i := len(s.sim.Links())
+	if i == len(s.names) {
+		s.names = append(s.names, name())
+	}
+	return s.sim.NewLink(s.names[i], s.cfg.LinkLatency, credits)
 }
 
 // Net returns the underlying topology. Every simulator of the same fabric
@@ -492,7 +530,7 @@ func (s *Simulator) inject(pool *flit.WormArena, src int, dests []int, multicast
 	}
 	op := pool.NewOp(s.ids.Next(), class, src, len(dests), now)
 	if multicast {
-		msgs, err := collective.Plan(s.planned[:0], s.cfg.Scheme, s.net, s.fac, src, dests, payload, op, now)
+		msgs, err := collective.Plan(s.planned[:0], s.cfg.Scheme, s.net, &s.fac, src, dests, payload, op, now)
 		if err != nil {
 			return nil, err
 		}

@@ -90,7 +90,7 @@ func TestRNGSample(t *testing.T) {
 	r := NewRNG(11)
 	var pool []int
 	for trial := 0; trial < 100; trial++ {
-		s := r.Sample(20, 5, 3, &pool)
+		s := r.Sample(nil, 20, 5, 3, &pool)
 		if len(s) != 5 {
 			t.Fatalf("sample size %d", len(s))
 		}
@@ -121,7 +121,7 @@ func TestRNGSample(t *testing.T) {
 		seed := params.Uint64()
 		got := NewRNG(seed)
 		want := NewRNG(seed)
-		a := got.Sample(n, k, excl, &pool)
+		a := got.Sample(nil, n, k, excl, &pool)
 		b := sampleWithMap(want, n, k, map[int]bool{excl: true})
 		if !slices.Equal(a, b) || got.State() != want.State() {
 			t.Fatalf("n=%d k=%d excl=%d: Sample %v, reference %v", n, k, excl, a, b)

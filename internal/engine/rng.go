@@ -3,6 +3,8 @@
 // control, and the simulation loop with a progress watchdog.
 package engine
 
+import "slices"
+
 // RNG is a small, fast, deterministic pseudo-random generator (splitmix64).
 // Every stochastic decision in the simulator draws from an RNG seeded from
 // the run configuration, so identical configurations replay identically.
@@ -70,12 +72,13 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Sample returns k distinct uniform values from [0, n) other than excl
-// (-1 excludes nothing). pool is caller-owned scratch: Sample rewrites it
-// with the candidate population on every call and keeps its storage, so a
-// caller that draws repeatedly allocates only the returned slice. It panics
-// if fewer than k values are available.
-func (r *RNG) Sample(n, k, excl int, pool *[]int) []int {
+// Sample appends k distinct uniform values from [0, n) other than excl
+// (-1 excludes nothing) to dst and returns the extended slice. pool is
+// caller-owned scratch: Sample rewrites it with the candidate population on
+// every call and keeps its storage, so a caller that draws repeatedly into
+// storage it reuses allocates nothing. It panics if fewer than k values are
+// available.
+func (r *RNG) Sample(dst []int, n, k, excl int, pool *[]int) []int {
 	avail := n
 	if excl >= 0 && excl < n {
 		avail--
@@ -91,11 +94,11 @@ func (r *RNG) Sample(n, k, excl int, pool *[]int) []int {
 		}
 	}
 	*pool = p
-	out := make([]int, k)
+	dst = slices.Grow(dst, k)
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(len(p)-i)
 		p[i], p[j] = p[j], p[i]
-		out[i] = p[i]
+		dst = append(dst, p[i])
 	}
-	return out
+	return dst
 }

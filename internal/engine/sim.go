@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"mdworm/internal/flit"
@@ -114,8 +113,8 @@ type Simulation struct {
 	evq          eventQueue
 
 	links []*Link
-	// linkSlab, flitSlab and creditSlab back Simulation-created links and
-	// their two rings in contiguous chunks (see NewLink).
+	// linkSlab holds the links a Reset reserved, each with its two rings;
+	// flitSlab and creditSlab back the rings NewLink carves (see NewLink).
 	linkSlab   []Link
 	flitSlab   []timed[flit.Ref]
 	creditSlab []timed[int]
@@ -132,8 +131,27 @@ type Simulation struct {
 // The invariant checker is always on; set Invariants().Strict to upgrade
 // violations to hard failures.
 func NewSimulation(watchdogLimit int64) *Simulation {
-	return &Simulation{
+	s := new(Simulation)
+	s.Reset(watchdogLimit, 0, 0)
+	return s
+}
+
+// Reset empties the simulation for a system of the given numbers of
+// components and links, with the watchdog set to limit. It keeps only the
+// storage of the component table, awake bitmap, link list, event heap and
+// reserved links with their rings; nothing registered before may be used.
+func (s *Simulation) Reset(watchdogLimit int64, components, links int) {
+	clear(s.comps)
+	clear(s.links)
+	*s = Simulation{
 		WatchdogLimit: watchdogLimit,
+		comps:         Reuse(s.comps, components)[:0],
+		awake:         s.awake[:0],
+		evq:           eventQueue{heap: s.evq.heap[:0]},
+		links:         Reuse(s.links, links)[:0],
+		linkSlab:      Reuse(s.linkSlab, links),
+		flitSlab:      s.flitSlab,
+		creditSlab:    s.creditSlab,
 		inv:           newInvariants(),
 	}
 }
@@ -141,6 +159,15 @@ func NewSimulation(watchdogLimit int64) *Simulation {
 // Invariants returns the simulation's invariant-checker sink. Components
 // report violations through it; drivers read the counters after a run.
 func (s *Simulation) Invariants() *Invariants { return s.inv }
+
+// Reuse returns s cut to n elements, keeping those it holds, when it has
+// room for them, else n new zero elements: the storage rule of every Reset.
+func Reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // AddComponent registers a component and returns its index, counted from 0
 // in registration order, by which the Declare methods, Wake and
@@ -155,15 +182,6 @@ func (s *Simulation) AddComponent(c Component) int {
 	s.awake[i>>6] |= 1 << uint(i&63)
 	s.awakeCount++
 	return i
-}
-
-// Reserve makes room for the given numbers of further components and links,
-// so that a builder that knows its system's counts registers it without
-// regrowing the component table, the link list or the link slab.
-func (s *Simulation) Reserve(components, links int) {
-	s.comps = slices.Grow(s.comps, components)
-	s.links = slices.Grow(s.links, links)
-	s.linkSlab = make([]Link, links)
 }
 
 // DeclareInputs tells the scheduler which links feed component i, making it
@@ -283,22 +301,32 @@ func (s *Simulation) noteSend(recv int32, arriveAt int64) {
 }
 
 // NewLink creates a link registered with this simulation so that flit
-// movement feeds the progress watchdog and the busy-link census. Link
-// structs and their rings are carved from per-simulation slabs, so a
-// fabric's link state is cache-adjacent instead of heap-scattered.
+// movement feeds the progress watchdog and the busy-link census. The links
+// a Reset reserved come from one slab, so a fabric's link state is
+// cache-adjacent, and keep their rings while those are large enough.
 func (s *Simulation) NewLink(name string, latency, credits int) *Link {
 	nf, nc := wireSlots(latency, credits)
-	l := &carve(&s.linkSlab, 1)[0]
-	l.init(name, latency, credits, carve(&s.flitSlab, nf), carve(&s.creditSlab, nc))
+	var l *Link
+	if i := len(s.links); i < len(s.linkSlab) {
+		l = &s.linkSlab[i]
+	} else {
+		l = new(Link)
+	}
+	l.init(name, latency, credits, carve(l.inflight.buf, nf, &s.flitSlab), carve(l.creditsQ.buf, nc, &s.creditSlab))
 	l.sim = s
 	l.inv = s.inv
 	s.links = append(s.links, l)
 	return l
 }
 
-// carve cuts n elements off the front of *slab, replacing it with room for
-// 64 such cuts when it runs short.
-func carve[T any](slab *[]T, n int) []T {
+// carve returns n cleared elements of old's storage when it has room for
+// them, else cuts n elements off the front of *slab, replacing it with room
+// for 64 such cuts when it runs short.
+func carve[T any](old []T, n int, slab *[]T) []T {
+	if cap(old) >= n {
+		clear(old[:cap(old)])
+		return old[:n]
+	}
 	if len(*slab) < n {
 		*slab = make([]T, 64*n)
 	}

@@ -298,7 +298,9 @@ func runPoint(cfg core.Config, x float64, o Options, tag string) Point {
 		if err == nil && occ != nil {
 			o.Observer.Record(tag, occ.Summary())
 		}
-		return finishPoint(cfg, o, tag, x, res, sim.Now(), err)
+		cycles := sim.Now()
+		core.Release(sim)
+		return finishPoint(cfg, o, tag, x, res, cycles, err)
 	}}
 }
 

@@ -121,7 +121,20 @@ func New(cfg Config, proc, n int, inject, eject *engine.Link,
 	ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation,
 	factory collective.MessageFactory, onDelivered DeliveredFunc) *NIC {
 
-	return &NIC{
+	nc := new(NIC)
+	nc.Reset(cfg, proc, n, inject, eject, ids, worms, sim, factory, onDelivered)
+	return nc
+}
+
+// Reset rebuilds nc in place as New builds a NIC, keeping the storage of
+// its send queue and forwarding tasks.
+func (nc *NIC) Reset(cfg Config, proc, n int, inject, eject *engine.Link,
+	ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation,
+	factory collective.MessageFactory, onDelivered DeliveredFunc) {
+
+	clear(nc.sendQ)
+	clear(nc.tasks)
+	*nc = NIC{
 		proc:    proc,
 		n:       n,
 		inject:  inject,
@@ -133,6 +146,8 @@ func New(cfg Config, proc, n int, inject, eject *engine.Link,
 		idx:     -1,
 		factory: factory,
 		onDelv:  onDelivered,
+		sendQ:   nc.sendQ[:0],
+		tasks:   nc.tasks[:0],
 	}
 }
 

@@ -73,7 +73,7 @@ func TestRoutePartition(t *testing.T) {
 		for trial := 0; trial < 500; trial++ {
 			sw := r.Net.Switches[rng.Intn(len(r.Net.Switches))]
 			k := rng.Intn(10) + 1
-			dests := bitset.FromSlice(r.Net.N, rng.Sample(r.Net.N, k, -1, new([]int)))
+			dests := bitset.FromSlice(r.Net.N, rng.Sample(nil, r.Net.N, k, -1, new([]int)))
 			ascending := rng.Intn(2) == 0
 			if !ascending {
 				// Descending worms must stay within reach; clamp.

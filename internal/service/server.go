@@ -393,6 +393,8 @@ func (s *Server) executeRun(hash string, canon core.Config, resume []byte) ([]by
 		if restored, err := core.Restore(resume); err == nil {
 			if h, _, err := Hash(restored.Config()); err == nil && h == hash {
 				sim = restored
+			} else {
+				core.Release(restored)
 			}
 		}
 	}
@@ -428,10 +430,11 @@ func (s *Server) executeRun(hash string, canon core.Config, resume []byte) ([]by
 		occupancy = occ.Summary().PeakOccupancy()
 	}
 	st := JobStats{Points: 1, Cycles: sim.Now(), Violations: sim.Invariants().Total(), Occupancy: occupancy}
+	core.Release(sim)
 	if err != nil {
 		return nil, st, err
 	}
-	b, err := json.Marshal(RunResponse{Hash: hash, Config: canon, Results: res, SimulatedCycles: sim.Now()})
+	b, err := json.Marshal(RunResponse{Hash: hash, Config: canon, Results: res, SimulatedCycles: st.Cycles})
 	if err != nil {
 		return nil, st, err
 	}

@@ -28,10 +28,18 @@ type Summary struct {
 
 // Summarize computes a Summary from raw samples (not modified).
 func Summarize(samples []float64) Summary {
+	var s []float64
+	return summarize(samples, &s)
+}
+
+// summarize is Summarize sorting its copy of samples in *scratch, whose
+// storage it keeps.
+func summarize(samples []float64, scratch *[]float64) Summary {
 	if len(samples) == 0 {
 		return Summary{}
 	}
-	s := append([]float64(nil), samples...)
+	s := append((*scratch)[:0], samples...)
+	*scratch = s
 	sort.Float64s(s)
 	sum := 0.0
 	for _, v := range s {
@@ -174,6 +182,20 @@ type Collector struct {
 	OpsDegraded  int64
 	DestsDropped int64
 	OpsDropped   int64
+
+	// scratch holds Finalize's sorted copies: derived state, never encoded.
+	scratch []float64
+}
+
+// Reset empties the collector, keeping the storage of its sample slices
+// and scratch.
+func (c *Collector) Reset() {
+	class := func(cc *ClassCollector) ClassCollector {
+		return ClassCollector{LastArrival: cc.LastArrival[:0], MeanArrival: cc.MeanArrival[:0]}
+	}
+	*c = Collector{Unicast: class(&c.Unicast), Multicast: class(&c.Multicast),
+		Coll:    CollectiveCollector{LastArrival: c.Coll.LastArrival[:0], Skew: c.Coll.Skew[:0]},
+		scratch: c.scratch}
 }
 
 // InWindow reports whether an op created at the given cycle is measured.
@@ -273,8 +295,8 @@ func (c *Collector) Finalize(n int, maxSendQueue int) Results {
 		cr := ClassResults{
 			OpsGenerated: cc.OpsGenerated,
 			OpsCompleted: cc.OpsCompleted,
-			LastArrival:  Summarize(cc.LastArrival),
-			MeanArrival:  Summarize(cc.MeanArrival),
+			LastArrival:  summarize(cc.LastArrival, &c.scratch),
+			MeanArrival:  summarize(cc.MeanArrival, &c.scratch),
 		}
 		if cc.OpsCompleted > 0 {
 			cr.MessagesPerOp = float64(cc.MessagesSent) / float64(cc.OpsCompleted)
@@ -292,12 +314,12 @@ func (c *Collector) Finalize(n int, maxSendQueue int) Results {
 			Started:     c.Coll.Started,
 			Completed:   c.Coll.Completed,
 			Degraded:    c.Coll.Degraded,
-			LastArrival: Summarize(c.Coll.LastArrival),
-			Skew:        Summarize(c.Coll.Skew),
+			LastArrival: summarize(c.Coll.LastArrival, &c.scratch),
+			Skew:        summarize(c.Coll.Skew, &c.scratch),
 			Phases:      make([]Summary, len(c.Coll.Phases)),
 		}
 		for p, samples := range c.Coll.Phases {
-			cr.Phases[p] = Summarize(samples)
+			cr.Phases[p] = summarize(samples, &c.scratch)
 		}
 		if c.Coll.Completed > 0 {
 			cr.MessagesPerRep = float64(c.Coll.MessagesSent) / float64(c.Coll.Completed)

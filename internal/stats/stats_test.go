@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -151,5 +152,37 @@ func TestFinalizeSaturationHeuristic(t *testing.T) {
 	r := c.Finalize(64, 100)
 	if !r.Saturated {
 		t.Fatal("half-completed run not flagged saturated")
+	}
+}
+
+// TestFinalizeAllocatesOnlyResults checks that a warm collector summarizes
+// every sample set in its own scratch: Finalize allocates only the results'
+// collective summary and its phases, and leaves the samples as they were.
+func TestFinalizeAllocatesOnlyResults(t *testing.T) {
+	samples := func(seed int) []float64 {
+		s := make([]float64, 100)
+		for i := range s {
+			s[i] = float64((i*37 + seed) % 101)
+		}
+		return s
+	}
+	c := Collector{WarmupEnd: 0, MeasureEnd: 1000}
+	c.Unicast.LastArrival, c.Unicast.MeanArrival = samples(1), samples(2)
+	c.Multicast.LastArrival, c.Multicast.MeanArrival = samples(3), samples(4)
+	c.Coll = CollectiveCollector{Active: true, NumPhases: 2, LastArrival: samples(5), Skew: samples(6),
+		Phases: [][]float64{samples(7), samples(8)}}
+	want := c.Finalize(16, 0) // the first call grows the scratch
+	if n := testing.AllocsPerRun(50, func() { c.Finalize(16, 0) }); n != 2 {
+		t.Errorf("a warm Finalize allocates %v times, want 2 (the collective summary and its phases)", n)
+	}
+	if got := c.Finalize(16, 0); got.Multicast.LastArrival != want.Multicast.LastArrival ||
+		got.Collective.Phases[1] != want.Collective.Phases[1] {
+		t.Error("a warm Finalize summarizes differently")
+	}
+	if !slices.Equal(c.Multicast.MeanArrival, samples(4)) || !slices.Equal(c.Coll.Phases[0], samples(7)) {
+		t.Error("Finalize modified its samples")
+	}
+	if want.Multicast.LastArrival != Summarize(samples(3)) {
+		t.Error("Finalize and Summarize disagree")
 	}
 }

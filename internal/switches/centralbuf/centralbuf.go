@@ -293,24 +293,32 @@ type Switch struct {
 func New(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
 	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) *Switch {
 
-	s := &Switch{
-		cfg: cfg,
-		in:  make([]inputState, len(ports)),
-		out: make([]outputState, len(ports)),
+	s := new(Switch)
+	s.Reset(cfg, node, router, ports, rng, ids, worms, sim)
+	return s
+}
+
+// Reset rebuilds s in place as New builds a switch, keeping the storage of
+// its port arrays, queues and retired packet records.
+func (s *Switch) Reset(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
+	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) {
+
+	in := engine.Reuse(s.in, len(ports))
+	for i := range in {
+		in[i].q.Reset()
+		in[i] = inputState{q: in[i].q, plans: in[i].plans[:0], bypassOut: -1}
 	}
+	out := engine.Reuse(s.out, len(ports))
+	for o := range out {
+		out[o] = outputState{fifo: refFIFO{buf: out[o].fifo.buf[:0]}, boundIn: -1, queue: out[o].queue[:0]}
+	}
+	*s = Switch{Base: s.Base, cfg: cfg, in: in, out: out, freePB: s.freePB,
+		pendingRes: [2][]*packetBuf{s.pendingRes[poolUp][:0], s.pendingRes[poolDown][:0]}}
 	s.Init("cb", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
 	s.free[poolUp] = cfg.Chunks / 2
 	s.free[poolDown] = cfg.Chunks - cfg.Chunks/2
-	s.poolCap[poolUp] = s.free[poolUp]
-	s.poolCap[poolDown] = s.free[poolDown]
+	s.poolCap = s.free
 	s.minPool = (cfg.MaxPacketFlits + cfg.ChunkFlits - 1) / cfg.ChunkFlits
-	for i := range s.in {
-		s.in[i].bypassOut = -1
-	}
-	for o := range s.out {
-		s.out[o].boundIn = -1
-	}
-	return s
 }
 
 // Stats returns a snapshot of the switch counters.

@@ -48,6 +48,12 @@ func (f *FIFO) Push(r flit.Ref) {
 	f.size++
 }
 
+// Reset empties the queue, keeping its storage.
+func (f *FIFO) Reset() {
+	clear(f.segs)
+	*f = FIFO{segs: f.segs[:0]}
+}
+
 // HeadWorm returns the worm whose flit is at the front, or nil if empty.
 func (f *FIFO) HeadWorm() *flit.Worm {
 	if f.size == 0 {

@@ -126,7 +126,7 @@ type inputState struct {
 
 type outputState struct {
 	bound *branch
-	arb   *switches.RoundRobin
+	arb   switches.RoundRobin
 }
 
 // Switch is one input-buffered switch instance.
@@ -171,17 +171,30 @@ type Switch struct {
 func New(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
 	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) *Switch {
 
-	s := &Switch{
-		cfg:     cfg,
-		in:      make([]inputState, len(ports)),
-		out:     make([]outputState, len(ports)),
-		reqBits: make([]uint64, len(ports)),
-	}
-	s.Init("ib", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
-	for o := range s.out {
-		s.out[o].arb = switches.NewRoundRobin(len(ports))
-	}
+	s := new(Switch)
+	s.Reset(cfg, node, router, ports, rng, ids, worms, sim)
 	return s
+}
+
+// Reset rebuilds s in place as New builds a switch, keeping the storage of
+// its port arrays, queues and retired branch records.
+func (s *Switch) Reset(cfg Config, node *topology.Switch, router *routing.Router, ports []switches.PortIO,
+	rng *engine.RNG, ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation) {
+
+	n := len(ports)
+	in := engine.Reuse(s.in, n)
+	for i := range in {
+		in[i] = inputState{queue: in[i].queue[:0], branches: in[i].branches[:0]}
+	}
+	out := engine.Reuse(s.out, n)
+	for o := range out {
+		out[o] = outputState{arb: *switches.NewRoundRobin(n)}
+	}
+	reqBits := engine.Reuse(s.reqBits, n)
+	clear(reqBits)
+	*s = Switch{Base: s.Base, cfg: cfg, in: in, out: out, plans: s.plans[:0],
+		freeBranches: s.freeBranches, reqBits: reqBits}
+	s.Init("ib", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
 }
 
 // Stats returns a snapshot of the switch counters.

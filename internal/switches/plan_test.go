@@ -107,7 +107,7 @@ func TestPlanBranchesScratchMatchesFresh(t *testing.T) {
 		)
 		for trial := 0; trial < 2000; trial++ {
 			sw := net.Switches[rng.Intn(len(net.Switches))]
-			dests := bitset.FromSlice(net.N, rng.Sample(net.N, 1+rng.Intn(12), -1, &pool))
+			dests := bitset.FromSlice(net.N, rng.Sample(nil, net.N, 1+rng.Intn(12), -1, &pool))
 			ascending := rng.Intn(2) == 0
 			if !ascending {
 				if dests = dests.And(sw.ReachAll()); dests.Empty() {

@@ -175,7 +175,7 @@ func (tr *Traffic) randomDests(port, self, span int) []int {
 	if tr.rng.Bernoulli(0.5) && tr.McastPorts&(1<<uint(port)) != 0 {
 		k = 2 + tr.rng.Intn(min(span, maxFanout)-2)
 	}
-	return tr.rng.Sample(span, k, self, &tr.pool)
+	return tr.rng.Sample(nil, span, k, self, &tr.pool)
 }
 
 func (tr *Traffic) queueData(port, src int, dests []int, up bool) {

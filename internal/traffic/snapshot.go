@@ -6,8 +6,8 @@ import "fmt"
 // order, for checkpointing.
 func (g *Generator) States() []uint64 {
 	out := make([]uint64, len(g.rngs))
-	for i, r := range g.rngs {
-		out[i] = r.State()
+	for i := range g.rngs {
+		out[i] = g.rngs[i].State()
 	}
 	return out
 }

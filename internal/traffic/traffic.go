@@ -72,7 +72,8 @@ func (s Spec) RateForLoad(load float64) float64 {
 
 // Request is one generated operation before planning.
 type Request struct {
-	Src       int
+	Src int
+	// Dests is storage the generator owns, valid until its next Draw.
 	Dests     []int
 	Multicast bool
 	Payload   int
@@ -80,10 +81,11 @@ type Request struct {
 
 // Generator draws requests deterministically from per-node random streams.
 type Generator struct {
-	spec Spec
-	n    int
-	rngs []*engine.RNG
-	pool []int // Sample's scratch population, reused across draws
+	spec  Spec
+	n     int
+	rngs  []engine.RNG
+	pool  []int // Sample's scratch population, reused across draws
+	dests []int // the last draw's destinations (Request.Dests)
 }
 
 // NewGenerator creates a generator for n nodes seeded from seed. Each node
@@ -92,12 +94,19 @@ func NewGenerator(spec Spec, n int, seed uint64) (*Generator, error) {
 	if err := spec.Validate(n); err != nil {
 		return nil, err
 	}
-	root := engine.NewRNG(seed)
-	g := &Generator{spec: spec, n: n, rngs: make([]*engine.RNG, n)}
-	for i := range g.rngs {
-		g.rngs[i] = root.Fork(uint64(i))
-	}
+	g := new(Generator)
+	g.Reset(spec, n, seed)
 	return g, nil
+}
+
+// Reset rebuilds g in place as NewGenerator builds a generator of a spec
+// valid for n nodes, keeping the storage of its streams and scratch.
+func (g *Generator) Reset(spec Spec, n int, seed uint64) {
+	root := engine.NewRNG(seed)
+	*g = Generator{spec: spec, n: n, rngs: engine.Reuse(g.rngs, n), pool: g.pool, dests: g.dests}
+	for i := range g.rngs {
+		g.rngs[i] = *root.Fork(uint64(i))
+	}
 }
 
 // Spec returns the generator's workload spec.
@@ -105,7 +114,7 @@ func (g *Generator) Spec() Spec { return g.spec }
 
 // Draw returns the operation node generates this cycle, if any.
 func (g *Generator) Draw(node int) (Request, bool) {
-	rng := g.rngs[node]
+	rng := &g.rngs[node]
 	if !rng.Bernoulli(g.spec.OpRate) {
 		return Request{}, false
 	}
@@ -113,16 +122,17 @@ func (g *Generator) Draw(node int) (Request, bool) {
 	if rng.Bernoulli(g.spec.MulticastFraction) {
 		req.Multicast = true
 		req.Payload = g.spec.McastPayloadFlits
-		req.Dests = rng.Sample(g.n, g.spec.Degree, node, &g.pool)
+		g.dests = rng.Sample(g.dests[:0], g.n, g.spec.Degree, node, &g.pool)
 	} else {
 		req.Payload = g.spec.UniPayloadFlits
 		if g.spec.HotSpotFraction > 0 && node != g.spec.HotSpotNode &&
 			rng.Bernoulli(g.spec.HotSpotFraction) {
-			req.Dests = []int{g.spec.HotSpotNode}
+			g.dests = append(g.dests[:0], g.spec.HotSpotNode)
 		} else {
-			req.Dests = []int{pickOther(rng, g.n, node)}
+			g.dests = append(g.dests[:0], pickOther(rng, g.n, node))
 		}
 	}
+	req.Dests = g.dests
 	return req, true
 }
 

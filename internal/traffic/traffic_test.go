@@ -221,3 +221,30 @@ func TestHotSpotValidation(t *testing.T) {
 		t.Error("out-of-range hot node accepted")
 	}
 }
+
+// TestDrawAllocatesNothing checks that a warm generator draws multicast,
+// unicast and hot-spot requests into storage it owns.
+func TestDrawAllocatesNothing(t *testing.T) {
+	hot := spec()
+	hot.HotSpotFraction, hot.HotSpotNode = 0.5, 3
+	for name, s := range map[string]Spec{"bimodal": spec(), "hot spot": hot} {
+		s.OpRate = 1
+		g, err := NewGenerator(s, 64, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := 0
+		draw := func() {
+			if _, ok := g.Draw(node); !ok {
+				t.Fatalf("%s: a generator at rate 1 drew nothing", name)
+			}
+			node = (node + 1) % 64
+		}
+		for range 64 { // the first draws grow the generator's storage
+			draw()
+		}
+		if n := testing.AllocsPerRun(200, draw); n != 0 {
+			t.Errorf("%s: a warm Draw allocates %v times", name, n)
+		}
+	}
+}
