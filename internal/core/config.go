@@ -244,9 +244,10 @@ func takeParked(key fabricKey, net *topology.Network, arch SwitchArch) *Simulato
 // Release parks a simulator its caller has finished with, so that a later
 // New of the same fabric and architecture builds into its storage. Nothing
 // may use s afterwards, and releasing it twice panics. At most GOMAXPROCS
-// simulators park per fabric and architecture; evicting the fabric from the
-// memo drops them. Under the mdworm_oracle build tag nothing parks, and s is
-// poisoned: it has no kernel, so running it or reading its clock panics.
+// simulators park per fabric and architecture, holding only that storage
+// and the work live at release; evicting the fabric drops them. Under the
+// mdworm_oracle build tag nothing parks, and s is poisoned: it has no
+// kernel, so running it or reading its clock panics.
 func Release(s *Simulator) {
 	if s.released {
 		panic("core: simulator released twice")
@@ -256,6 +257,8 @@ func Release(s *Simulator) {
 		return
 	}
 	s.released = true
+	s.capture, s.userTracer, s.fdrv, s.cdrv, s.deliverHook = nil, nil, nil, nil, nil
+	s.sim.Reset(0, 0, 0)
 	fabrics.Lock()
 	defer fabrics.Unlock()
 	if p := parking(s.cfg.fabricKey(), s.net, s.cfg.Arch); p != nil && len(*p) < runtime.GOMAXPROCS(0) {

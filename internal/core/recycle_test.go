@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mdworm/internal/collective"
 	"mdworm/internal/faults"
@@ -270,6 +271,41 @@ func TestReleaseContract(t *testing.T) {
 	}
 	if n := parkedFor(t, cfg); n != want {
 		t.Errorf("%d simulators parked after %d releases, want %d", n, len(sims), want)
+	}
+	dropParked()
+}
+
+// TestParkedSimulatorDropsItsRun checks that a parked simulator holds only
+// the storage a rebuild keeps and the work live at release: the capture and
+// fault driver of the run it held become garbage once it parks.
+func TestParkedSimulatorDropsItsRun(t *testing.T) {
+	if !reuse {
+		t.Skip("the oracle build parks nothing")
+	}
+	dropParked()
+	cfg := DefaultConfig()
+	sim := dirtyPredecessor(t, cfg)
+	collected := make(chan string, 2)
+	runtime.SetFinalizer(sim.capture, func(*obs.Capture) { collected <- "capture" })
+	runtime.SetFinalizer(sim.fdrv, func(*faultDriver) { collected <- "fault driver" })
+	Release(sim)
+	if n := parkedFor(t, cfg); n != 1 {
+		t.Fatalf("%d simulators parked, want 1", n)
+	}
+	got := map[string]bool{}
+	for range 100 {
+		runtime.GC()
+		select {
+		case name := <-collected:
+			got[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+		if len(got) == 2 {
+			break
+		}
+	}
+	if len(got) != 2 {
+		t.Errorf("a parked simulator keeps its run alive: only %v of its capture and fault driver were collected", got)
 	}
 	dropParked()
 }

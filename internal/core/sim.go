@@ -156,14 +156,12 @@ func (s *Simulator) build(cfg Config, net *topology.Network, sched collective.Sc
 	s.sim.Reset(cfg.WatchdogLimit, len(net.Switches)+net.N+2, wired+net.N)
 	s.sim.Invariants().Strict = cfg.StrictInvariants
 	s.ports = engine.Reuse(old.ports, len(net.Switches))
-	s.portSlab = engine.Reuse(old.portSlab, nports)
-	clear(s.portSlab)
-	portSlab := s.portSlab
+	s.portSlab = engine.Reuse(engine.Empty(old.portSlab), nports)
+	ports, portSlab := s.ports, s.portSlab
 	for i, sw := range net.Switches {
 		n := sw.NumPorts()
-		s.ports[i], portSlab = portSlab[:n:n], portSlab[n:]
+		ports[i], portSlab = portSlab[:n:n], portSlab[n:]
 	}
-	ports := s.ports
 
 	// Inter-switch links: one pair per wired connection; create when
 	// scanning the down-port side so each connection is built once.

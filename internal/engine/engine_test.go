@@ -139,6 +139,21 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
+// TestEmptyClearsStorage checks that Empty leaves a kept slice's storage
+// referring to nothing, beyond its length as well as within it.
+func TestEmptyClearsStorage(t *testing.T) {
+	s := []*int{new(int), new(int), new(int)}
+	e := Empty(s[:2])
+	if len(e) != 0 || cap(e) != 3 {
+		t.Fatalf("Empty gave len %d cap %d, want 0 and 3", len(e), cap(e))
+	}
+	for i, p := range s {
+		if p != nil {
+			t.Errorf("element %d still refers to %p", i, p)
+		}
+	}
+}
+
 func TestLinkDelivery(t *testing.T) {
 	l := NewLink("t", 3, 4)
 	w := testWorm(4)

@@ -141,14 +141,12 @@ func NewSimulation(watchdogLimit int64) *Simulation {
 // storage of the component table, awake bitmap, link list, event heap and
 // reserved links with their rings; nothing registered before may be used.
 func (s *Simulation) Reset(watchdogLimit int64, components, links int) {
-	clear(s.comps)
-	clear(s.links)
 	*s = Simulation{
 		WatchdogLimit: watchdogLimit,
-		comps:         Reuse(s.comps, components)[:0],
+		comps:         Reuse(Empty(s.comps), components)[:0],
 		awake:         s.awake[:0],
 		evq:           eventQueue{heap: s.evq.heap[:0]},
-		links:         Reuse(s.links, links)[:0],
+		links:         Reuse(Empty(s.links), links)[:0],
 		linkSlab:      Reuse(s.linkSlab, links),
 		flitSlab:      s.flitSlab,
 		creditSlab:    s.creditSlab,
@@ -167,6 +165,13 @@ func Reuse[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// Empty returns s with no elements and its whole storage cleared, so that a
+// queue or table a Reset keeps refers to nothing of the last run.
+func Empty[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // AddComponent registers a component and returns its index, counted from 0
@@ -324,8 +329,7 @@ func (s *Simulation) NewLink(name string, latency, credits int) *Link {
 // for 64 such cuts when it runs short.
 func carve[T any](old []T, n int, slab *[]T) []T {
 	if cap(old) >= n {
-		clear(old[:cap(old)])
-		return old[:n]
+		return Empty(old)[:n]
 	}
 	if len(*slab) < n {
 		*slab = make([]T, 64*n)

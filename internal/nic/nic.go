@@ -132,8 +132,6 @@ func (nc *NIC) Reset(cfg Config, proc, n int, inject, eject *engine.Link,
 	ids *engine.IDGen, worms *flit.WormArena, sim *engine.Simulation,
 	factory collective.MessageFactory, onDelivered DeliveredFunc) {
 
-	clear(nc.sendQ)
-	clear(nc.tasks)
 	*nc = NIC{
 		proc:    proc,
 		n:       n,
@@ -146,8 +144,8 @@ func (nc *NIC) Reset(cfg Config, proc, n int, inject, eject *engine.Link,
 		idx:     -1,
 		factory: factory,
 		onDelv:  onDelivered,
-		sendQ:   nc.sendQ[:0],
-		tasks:   nc.tasks[:0],
+		sendQ:   engine.Empty(nc.sendQ),
+		tasks:   engine.Empty(nc.tasks),
 	}
 }
 
@@ -440,8 +438,7 @@ func (nc *NIC) dropPending(now int64) {
 	for _, m := range nc.sendQ {
 		nc.dropMessage(m, now)
 	}
-	clear(nc.sendQ)
-	nc.sendQ = nc.sendQ[:0]
+	nc.sendQ = engine.Empty(nc.sendQ)
 	nc.overheadLeft = 0
 }
 

@@ -306,14 +306,14 @@ func (s *Switch) Reset(cfg Config, node *topology.Switch, router *routing.Router
 	in := engine.Reuse(s.in, len(ports))
 	for i := range in {
 		in[i].q.Reset()
-		in[i] = inputState{q: in[i].q, plans: in[i].plans[:0], bypassOut: -1}
+		in[i] = inputState{q: in[i].q, plans: engine.Empty(in[i].plans), bypassOut: -1}
 	}
 	out := engine.Reuse(s.out, len(ports))
 	for o := range out {
-		out[o] = outputState{fifo: refFIFO{buf: out[o].fifo.buf[:0]}, boundIn: -1, queue: out[o].queue[:0]}
+		out[o] = outputState{fifo: refFIFO{buf: engine.Empty(out[o].fifo.buf)}, boundIn: -1, queue: engine.Empty(out[o].queue)}
 	}
 	*s = Switch{Base: s.Base, cfg: cfg, in: in, out: out, freePB: s.freePB,
-		pendingRes: [2][]*packetBuf{s.pendingRes[poolUp][:0], s.pendingRes[poolDown][:0]}}
+		pendingRes: [2][]*packetBuf{engine.Empty(s.pendingRes[poolUp]), engine.Empty(s.pendingRes[poolDown])}}
 	s.Init("cb", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
 	s.free[poolUp] = cfg.Chunks / 2
 	s.free[poolDown] = cfg.Chunks - cfg.Chunks/2

@@ -3,6 +3,7 @@ package switches
 import (
 	"fmt"
 
+	"mdworm/internal/engine"
 	"mdworm/internal/flit"
 )
 
@@ -50,8 +51,7 @@ func (f *FIFO) Push(r flit.Ref) {
 
 // Reset empties the queue, keeping its storage.
 func (f *FIFO) Reset() {
-	clear(f.segs)
-	*f = FIFO{segs: f.segs[:0]}
+	*f = FIFO{segs: engine.Empty(f.segs)}
 }
 
 // HeadWorm returns the worm whose flit is at the front, or nil if empty.

@@ -184,16 +184,14 @@ func (s *Switch) Reset(cfg Config, node *topology.Switch, router *routing.Router
 	n := len(ports)
 	in := engine.Reuse(s.in, n)
 	for i := range in {
-		in[i] = inputState{queue: in[i].queue[:0], branches: in[i].branches[:0]}
+		in[i] = inputState{queue: engine.Empty(in[i].queue), branches: engine.Empty(in[i].branches)}
 	}
 	out := engine.Reuse(s.out, n)
 	for o := range out {
 		out[o] = outputState{arb: *switches.NewRoundRobin(n)}
 	}
-	reqBits := engine.Reuse(s.reqBits, n)
-	clear(reqBits)
-	*s = Switch{Base: s.Base, cfg: cfg, in: in, out: out, plans: s.plans[:0],
-		freeBranches: s.freeBranches, reqBits: reqBits}
+	*s = Switch{Base: s.Base, cfg: cfg, in: in, out: out, plans: engine.Empty(s.plans),
+		freeBranches: s.freeBranches, reqBits: engine.Reuse(engine.Empty(s.reqBits), n)}
 	s.Init("ib", node, router, ports, rng, ids, worms, sim, &s.stats.Stats, &s.arrivals, s.placeToken)
 }
 

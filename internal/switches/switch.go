@@ -72,7 +72,7 @@ func (b *Base) Init(model string, node *topology.Switch, router *routing.Router,
 		panic(fmt.Sprintf("%s: %d ports exceed the %d-port activity bitmaps", model, len(ports), MaxPorts))
 	}
 	*b = Base{Node: node, Router: router, Ports: ports, RNG: rng, IDs: ids, Sim: sim, Worms: worms,
-		model: model, stats: stats, dec: routing.Decision{Down: b.dec.Down[:0]}}
+		model: model, stats: stats, dec: routing.Decision{Down: engine.Empty(b.dec.Down)}}
 	b.Tokens = Combiner{sw: b, place: place}
 	for i, p := range ports {
 		if p.In != nil {
