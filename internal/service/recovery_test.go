@@ -477,6 +477,9 @@ func TestRecoveryPreservesTenantQueues(t *testing.T) {
 	hashes := map[string]string{"alpha": hashA, "beta": hashB, "ghost": hashC}
 	for _, hash := range hashes {
 		waitForCache(t, s, hash)
+		// The pool marks a job done after its result reaches the cache;
+		// the done record follows.
+		waitForDone(t, dir, hash)
 	}
 
 	// Each recovered job landed in (and only in) its original tenant's queue.
